@@ -1199,6 +1199,7 @@ impl Tuner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilient::{RetryPolicy, Robustness};
     use crate::search::{ExhaustiveSearch, ForestSearch, RandomSearch};
     use crate::space::Param;
 
@@ -1375,6 +1376,44 @@ mod tests {
         assert_eq!(serial.best_config, eight.best_config);
         assert_eq!(serial.evals, eight.evals);
         assert_eq!(one.cache, eight.cache);
+
+        // For every shipped algorithm, the serial loop is a batch-1 round
+        // evaluated in order, and the fault-free loop is the resilient one
+        // with a single attempt, no outlier checks and no fallback: all
+        // three render byte-identical reports.
+        let plain = Robustness {
+            retry: RetryPolicy {
+                max_attempts: 1,
+                ..RetryPolicy::default()
+            },
+            min_observations: usize::MAX,
+            ..Robustness::default()
+        };
+        let json = |r: &TuneReport| serde_json::to_string(r).unwrap();
+        for i in 0..crate::search::shipped_algorithms().len() {
+            let fresh = || crate::search::shipped_algorithms().swap_remove(i);
+            let serial = tuner.run(fresh().as_mut(), bowl).unwrap();
+            let batch_one = tuner
+                .clone()
+                .batch_size(1)
+                .run_parallel(fresh().as_mut(), 1, bowl)
+                .unwrap();
+            let resilient = tuner
+                .run_resilient(fresh().as_mut(), None, &plain, |s, c, _| Ok(bowl(s, c)))
+                .unwrap();
+            assert_eq!(json(&serial), json(&batch_one), "{}", serial.algorithm);
+            assert_eq!(json(&serial), json(&resilient), "{}", serial.algorithm);
+            let parallel = tuner.run_parallel(fresh().as_mut(), 4, bowl).unwrap();
+            let parallel_resilient = tuner
+                .run_parallel_resilient(fresh().as_mut(), None, &plain, 4, |s, c, _| Ok(bowl(s, c)))
+                .unwrap();
+            assert_eq!(
+                json(&parallel),
+                json(&parallel_resilient),
+                "{}",
+                serial.algorithm
+            );
+        }
     }
 
     #[test]
