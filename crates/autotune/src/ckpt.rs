@@ -31,11 +31,11 @@ use crate::faultlog::FaultLog;
 use crate::resilient::Robustness;
 use crate::search::SearchAlgorithm;
 use crate::space::Config;
-use crate::tuner::{CacheStats, Evaluation, TuneError, Tuner};
+use crate::tuner::{config_fingerprint, CacheStats, Driver, LoopState, TuneError, Tuner};
 use pstack_ckpt::{CkptError, SessionDir, WalWriter};
 use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -79,14 +79,18 @@ impl CheckpointOpts {
 /// silently diverge from the run it continues.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionMeta {
-    /// Which driver started the session: `run`, `run_parallel`,
-    /// `run_resilient`, or `run_parallel_resilient`.
+    /// Which entry point started the session: `run`, `run_parallel` (also
+    /// [`Tuner::run_parallel_with`]), `run_resilient`, or
+    /// `run_parallel_resilient`. Every entry point drives the same loop;
+    /// the name fixes the round size and robustness settings a resume must
+    /// reuse, so a session resumes only through the matching `resume*`.
     pub driver: String,
     /// RNG seed of the run.
     pub seed: u64,
     /// Evaluation budget.
     pub max_evals: usize,
-    /// Ask-tell round size (parallel drivers; recorded for all).
+    /// [`Tuner::batch_size`] of the run (the round size of the parallel
+    /// drivers; the serial drivers' rounds are one suggestion long).
     pub batch_size: usize,
     /// Consecutive-duplicate exit threshold.
     pub max_consecutive_duplicates: usize,
@@ -103,14 +107,14 @@ pub struct SessionMeta {
     pub fallback: Option<String>,
     /// Fallback checkpoint-schema version (0 when no fallback).
     pub fallback_schema: u32,
-    /// Robustness settings (resilient drivers only).
+    /// Robustness settings (resilient drivers only; the fault-free drivers
+    /// always run with one attempt, no outlier checks and no fallback).
     pub robustness: Option<Robustness>,
 }
 
 /// One durable evaluation outcome — the unit the WAL appends *before* the
-/// search observes it. Plain drivers use only `ordinal`/`config`/
-/// `objective`/`aux`; resilient drivers also persist the retry loop's
-/// fault events so replay reconstructs the identical fault log.
+/// search observes it, including the retry loop's fault events so replay
+/// reconstructs the identical fault log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalRecord {
     /// Position in the session's fresh-evaluation sequence (0-based; cache
@@ -131,7 +135,7 @@ pub struct EvalRecord {
     pub backoff_s: f64,
 }
 
-/// Resilient-loop state persisted alongside the core snapshot.
+/// The loop's fault ledger, persisted alongside the core snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResilientSnapshot {
     /// Quarantined configurations, sorted for deterministic serialization.
@@ -147,11 +151,11 @@ pub struct ResilientSnapshot {
 }
 
 /// Full session state at a consistent point: everything needed to re-drive
-/// the search as if the run had never stopped. Serial drivers snapshot
-/// after a recorded outcome; parallel drivers only at ask-tell round
-/// boundaries (mid-round the RNG has already advanced past suggestions
-/// that are not yet recorded, so a mid-round snapshot could not resume
-/// deterministically).
+/// the search as if the run had never stopped. Snapshots are taken only at
+/// ask-tell round boundaries (mid-round the RNG has already advanced past
+/// suggestions that are not yet recorded, so a mid-round snapshot could
+/// not resume deterministically); a serial driver's round is one
+/// suggestion.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SessionSnapshot {
     /// The session's immutable metadata.
@@ -174,42 +178,46 @@ pub struct SessionSnapshot {
     pub algorithm_state: Value,
     /// Fallback algorithm state (`Null` when absent or stateless).
     pub fallback_state: Value,
-    /// Resilient-loop state (`None` for the fault-free drivers).
+    /// Fault ledger (always written; `None` restores a clean ledger).
     pub resilient: Option<ResilientSnapshot>,
 }
 
 impl SessionSnapshot {
-    /// Assemble a snapshot from live loop state (sorts the cache so the
-    /// payload — and therefore the on-disk bytes — are deterministic).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn collect(
+    /// Assemble a snapshot from live loop state (sorts the cache and the
+    /// quarantine ledger so the payload — and therefore the on-disk bytes —
+    /// are deterministic).
+    fn collect(
         meta: &SessionMeta,
         ordinal: usize,
-        db: &PerfDatabase,
-        cache: &HashMap<Config, Evaluation>,
-        stats: CacheStats,
-        rng: &SmallRng,
-        consecutive_dups: usize,
+        state: &LoopState,
         algorithm_state: Value,
         fallback_state: Value,
-        resilient: Option<ResilientSnapshot>,
     ) -> SessionSnapshot {
-        let mut rows: Vec<(Config, f64, HashMap<String, f64>)> = cache
+        let mut rows: Vec<(Config, f64, HashMap<String, f64>)> = state
+            .cache
             .iter()
             .map(|(c, (o, a))| (c.clone(), *o, a.clone()))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut quarantined: Vec<Config> = state.quarantined.values().cloned().collect();
+        quarantined.sort();
         SessionSnapshot {
             meta: meta.clone(),
             ordinal,
-            db: db.clone(),
+            db: state.db.clone(),
             cache: rows,
-            stats,
-            rng: rng.state(),
-            consecutive_dups,
+            stats: state.stats,
+            rng: state.rng.state(),
+            consecutive_dups: state.consecutive_dups,
             algorithm_state,
             fallback_state,
-            resilient,
+            resilient: Some(ResilientSnapshot {
+                quarantined,
+                faults: state.faults.clone(),
+                fresh_idx: state.fresh_idx,
+                failed_attempts: state.failed_attempts,
+                degraded: state.degraded,
+            }),
         }
     }
 }
@@ -222,47 +230,42 @@ impl From<CkptError> for TuneError {
     }
 }
 
-/// Resilient fields of a [`RestoredState`].
-pub(crate) struct RestoredResilient {
-    pub(crate) quarantined: HashSet<Config>,
-    pub(crate) faults: FaultLog,
-    pub(crate) fresh_idx: usize,
-    pub(crate) failed_attempts: usize,
-    pub(crate) degraded: bool,
-}
-
-/// Loop state rebuilt from a snapshot, handed to the driver internals in
-/// place of a fresh start.
-pub(crate) struct RestoredState {
-    pub(crate) db: PerfDatabase,
-    pub(crate) cache: HashMap<Config, Evaluation>,
-    pub(crate) stats: CacheStats,
-    pub(crate) rng: SmallRng,
-    pub(crate) consecutive_dups: usize,
-    pub(crate) prior_len: usize,
-    pub(crate) resilient: Option<RestoredResilient>,
-}
-
-impl RestoredState {
-    fn from_snapshot(snap: &SessionSnapshot) -> Self {
-        RestoredState {
-            db: snap.db.clone(),
+impl LoopState {
+    /// Rebuild the loop state a snapshot captured. The fault budget is
+    /// recomputed: `max_evals` and `robustness` come from the session
+    /// metadata, so it matches the original run's. A snapshot without a
+    /// fault ledger (fault-free sessions written by earlier versions carry
+    /// none) restores a clean one.
+    fn from_snapshot(snap: SessionSnapshot, max_evals: usize, robustness: Robustness) -> Self {
+        let ledger = snap.resilient.unwrap_or_else(|| ResilientSnapshot {
+            quarantined: Vec::new(),
+            faults: FaultLog::new(),
+            fresh_idx: snap.ordinal,
+            failed_attempts: 0,
+            degraded: false,
+        });
+        LoopState {
+            db: snap.db,
+            prior_len: snap.meta.prior_len,
             cache: snap
                 .cache
-                .iter()
-                .map(|(c, o, a)| (c.clone(), (*o, a.clone())))
+                .into_iter()
+                .map(|(c, o, a)| (c, (o, a)))
                 .collect(),
             stats: snap.stats,
             rng: SmallRng::from_state(snap.rng),
             consecutive_dups: snap.consecutive_dups,
-            prior_len: snap.meta.prior_len,
-            resilient: snap.resilient.as_ref().map(|r| RestoredResilient {
-                quarantined: r.quarantined.iter().cloned().collect(),
-                faults: r.faults.clone(),
-                fresh_idx: r.fresh_idx,
-                failed_attempts: r.failed_attempts,
-                degraded: r.degraded,
-            }),
+            robustness,
+            faults: ledger.faults,
+            quarantined: ledger
+                .quarantined
+                .into_iter()
+                .map(|cfg| (config_fingerprint(&cfg), cfg))
+                .collect(),
+            fresh_idx: ledger.fresh_idx,
+            failed_attempts: ledger.failed_attempts,
+            fault_budget: LoopState::fault_budget(max_evals, &robustness),
+            degraded: ledger.degraded,
         }
     }
 }
@@ -448,20 +451,13 @@ impl ActiveSession {
     }
 }
 
-/// Snapshot-if-due, shared by every driver: collects a [`SessionSnapshot`]
+/// Snapshot-if-due at a round boundary: collects a [`SessionSnapshot`]
 /// from the live loop state when the session's cadence calls for one.
-/// `resilient` is a thunk so the fault-log clone only happens when due.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn checkpoint_tick(
     session: &mut Option<ActiveSession>,
-    db: &PerfDatabase,
-    cache: &HashMap<Config, Evaluation>,
-    stats: CacheStats,
-    rng: &SmallRng,
-    consecutive_dups: usize,
+    state: &LoopState,
     algorithm: &dyn SearchAlgorithm,
     fallback: Option<&dyn SearchAlgorithm>,
-    resilient: impl FnOnce() -> Option<ResilientSnapshot>,
 ) -> Result<(), TuneError> {
     let Some(s) = session.as_mut() else {
         return Ok(());
@@ -472,14 +468,9 @@ pub(crate) fn checkpoint_tick(
     let snap = SessionSnapshot::collect(
         s.meta(),
         s.next_ordinal(),
-        db,
-        cache,
-        stats,
-        rng,
-        consecutive_dups,
+        state,
         algorithm.save_state(),
         fallback.map(|f| f.save_state()).unwrap_or(Value::Null),
-        resilient(),
     );
     s.write_snapshot(&snap)
 }
@@ -520,14 +511,14 @@ impl Tuner {
 
     /// Reload a session for resumption: validate its metadata against this
     /// tuner and the supplied algorithms, restore algorithm state, and
-    /// return a settings-matched tuner plus the live session and restored
-    /// loop state.
+    /// return a settings-matched tuner plus the live session and the loop
+    /// state its snapshot captured.
     pub(crate) fn load_session(
         &self,
-        driver: &str,
+        driver: Driver,
         algorithm: &mut (dyn SearchAlgorithm + '_),
         fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
-    ) -> Result<(Tuner, ActiveSession, RestoredState), TuneError> {
+    ) -> Result<(Tuner, ActiveSession, LoopState), TuneError> {
         let Some(opts) = &self.checkpoint else {
             return Err(TuneError::Checkpoint {
                 detail: "no checkpoint directory configured; call Tuner::checkpoint(dir) before \
@@ -537,14 +528,25 @@ impl Tuner {
         };
         let (session, snap) = ActiveSession::resume(opts, self.interrupt.clone())?;
         let meta = &snap.meta;
-        if meta.driver != driver {
+        if meta.driver != driver.name {
             return Err(TuneError::Checkpoint {
                 detail: format!(
-                    "session was started by `{}`; resume it with the matching driver, not `{driver}`",
-                    meta.driver
+                    "session was started by `{}`; resume it with the matching driver, not `{}`",
+                    meta.driver, driver.name
                 ),
             });
         }
+        // The fault-free drivers record no robustness settings: they always
+        // run with the plain value.
+        let robustness = match meta.robustness {
+            Some(r) => r,
+            None if !driver.resilient => Robustness::PLAIN,
+            None => {
+                return Err(TuneError::Checkpoint {
+                    detail: "session metadata carries no robustness settings".to_string(),
+                })
+            }
+        };
         let fingerprint = self.space.fingerprint();
         if meta.space_fingerprint != fingerprint {
             return Err(TuneError::Checkpoint {
@@ -589,9 +591,9 @@ impl Tuner {
                     detail: format!("fallback state: {e}"),
                 })?;
         }
-        let restored = RestoredState::from_snapshot(&snap);
         let tuner = self.with_meta(meta);
-        Ok((tuner, session, restored))
+        let state = LoopState::from_snapshot(snap, tuner.max_evals, robustness);
+        Ok((tuner, session, state))
     }
 
     /// A clone of this tuner with the trajectory-determining settings

@@ -16,15 +16,20 @@
 //!   with restarts, simulated annealing, and a random-forest surrogate (the
 //!   ytopt default).
 //! - [`tuner`]: the loop itself, with a configurable evaluation budget
-//!   (`--max-evals` in ytopt terms).
-//! - [`resilient`]: fault-tolerant drivers — bounded retry-with-backoff,
-//!   quarantine of repeatedly failing configurations, graceful degradation
-//!   to a fallback search when the database is poisoned.
+//!   (`--max-evals` in ytopt terms). One private ask-tell loop runs every
+//!   public driver — serial, parallel, batched-evaluator, resilient, and
+//!   their `resume*` forms differ only in round size, dispatch, robustness
+//!   settings and starting state.
+//! - [`resilient`]: the loop's fault tolerance — bounded
+//!   retry-with-backoff, quarantine of failing configurations (including
+//!   non-finite objectives on every driver), graceful degradation to a
+//!   fallback search when the database is poisoned.
 //! - [`faultlog`]: the [`FaultLog`] carried by every [`TuneReport`] stating
 //!   what was injected and what was survived.
 //! - [`ckpt`]: crash-safe sessions — a write-ahead log of every evaluation,
-//!   periodic full snapshots, and `resume*` entry points on all four drivers
-//!   that replay a killed session to a byte-identical [`TuneReport`].
+//!   periodic full snapshots, and `resume*` entry points that restart the
+//!   loop from a snapshot and replay a killed session to a byte-identical
+//!   [`TuneReport`].
 //! - [`history_service`]: the shared performance-history bridge — warm
 //!   starts from and recording to a `pstack-history` store (GPTune
 //!   HistoryDB-style crowdtuning), plus the multi-session

@@ -1,26 +1,41 @@
 //! The autotuning loop (Figure 4).
 //!
-//! `Tuner` wires a [`SearchAlgorithm`] to an evaluator closure (the paper's
+//! `Tuner` wires a [`SearchAlgorithm`] to an evaluator (the paper's
 //! `plopper`: "compiles the code and executes it to get the execution time")
 //! and repeats suggest → evaluate → record until the evaluation budget
 //! (`--max-evals`, default 100 in ytopt) is spent.
 //!
-//! Two drivers share the loop logic: [`Tuner::run`] evaluates serially, and
-//! [`Tuner::run_parallel`] asks the algorithm for whole batches
-//! ([`SearchAlgorithm::suggest_batch`]) and fans evaluations out over a
-//! scoped thread pool. Batch composition depends only on the seed and batch
-//! size — never on the worker count — and results are recorded in suggestion
-//! order, so a seeded run reproduces the identical [`TuneReport`] whether it
-//! used one worker or eight. An evaluation cache memoizes `(objective, aux)`
-//! per configuration so duplicate suggestions (common in warm-started runs)
-//! never re-simulate.
+//! One private loop does this for every public driver. Each ask-tell round
+//! asks the active algorithm for a batch
+//! ([`SearchAlgorithm::suggest_batch`]), skips cache hits and quarantined
+//! configurations, evaluates the rest under the retry policy — fanned out
+//! over a scoped thread pool, or in order through one [`BatchEvaluator`] —
+//! and records the outcomes in suggestion order. The drivers differ only in
+//! data:
+//!
+//! - [`Tuner::run`] and [`Tuner::run_resilient`] ask for one suggestion
+//!   per round and evaluate in order; [`Tuner::run_parallel`],
+//!   [`Tuner::run_parallel_with`] and [`Tuner::run_parallel_resilient`]
+//!   ask for [`Tuner::batch_size`] suggestions per round.
+//! - The fault-free drivers make one attempt per configuration, with no
+//!   outlier checks and no fallback search: a non-finite objective is
+//!   quarantined and logged in [`TuneReport::faults`], never recorded.
+//! - The `resume*` entry points start the same loop from a checkpoint
+//!   snapshot instead of a fresh state.
+//!
+//! Batch composition depends only on the seed and batch size — never on the
+//! worker count — so a seeded run reproduces the identical [`TuneReport`]
+//! whether it used one worker or eight. An evaluation cache memoizes
+//! `(objective, aux)` per configuration so duplicate suggestions (common in
+//! warm-started runs) never re-simulate.
 
-use crate::ckpt::{
-    checkpoint_tick, ActiveSession, CheckpointOpts, EvalRecord, InterruptFn, RestoredState,
-};
+use crate::ckpt::{checkpoint_tick, ActiveSession, CheckpointOpts, InterruptFn};
 use crate::db::PerfDatabase;
 use crate::faultlog::FaultLog;
-use crate::resilient::EvalError;
+use crate::resilient::{
+    attempt_config, outcome_from_record, record_from_outcome, ConfigOutcome, EvalError,
+    RetryPolicy, Robustness,
+};
 use crate::search::SearchAlgorithm;
 use crate::space::{Config, ParamSpace};
 use pstack_sync::{sites, Ordering, SyncAtomicUsize, SyncMutex};
@@ -28,7 +43,7 @@ use pstack_trace::{AttrValue, ProfileBuilder, ProfileSummary, SpanId, TraceColle
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -52,20 +67,18 @@ pub type Evaluation = (f64, HashMap<String, f64>);
 ///
 /// Closure evaluators rebuild their scenario state on every call; a
 /// `BatchEvaluator` owns reusable state (an arena, pre-sized buffers, a
-/// warm simulator) that is *reset in place* between evaluations. The
-/// `*_with` drivers ([`Tuner::run_with`], [`Tuner::run_parallel_with`],
-/// [`Tuner::run_resilient_with`](crate::resilient),
-/// [`Tuner::run_parallel_resilient_with`](crate::resilient)) feed whole
-/// `suggest_batch` proposals through one evaluator per round. Reports stay
-/// byte-identical to the closure drivers: suggestion order, cache
-/// accounting, fault verdicts and WAL records are unchanged — only the
-/// per-evaluation setup cost is amortized.
+/// warm simulator) that is *reset in place* between evaluations.
+/// [`Tuner::run_parallel_with`] feeds each `suggest_batch` round through
+/// one evaluator in suggestion order. Reports stay byte-identical to
+/// [`Tuner::run_parallel`] with an equivalent closure: suggestion order,
+/// cache accounting, fault verdicts and WAL records are unchanged — only
+/// the per-evaluation setup cost is amortized.
 pub trait BatchEvaluator {
     /// Evaluate one configuration, returning `(objective, aux)`.
     fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation;
 
-    /// Fallible form used by the resilient drivers; `attempt` counts from
-    /// zero per configuration. The default delegates to the infallible
+    /// Fallible form the tuning loop calls; `attempt` counts from zero per
+    /// configuration. The default delegates to the infallible
     /// [`evaluate`](Self::evaluate).
     ///
     /// # Errors
@@ -90,22 +103,116 @@ pub trait BatchEvaluator {
     }
 }
 
-/// `fn`-pointer stand-in for the pool closure type parameter when a driver
-/// dispatches through a [`BatchEvaluator`] instead.
-pub(crate) type EvalFn = fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>);
+/// The adapter through which a serial driver's `FnMut` closure reaches the
+/// loop as a [`BatchEvaluator`]; `attempt` passes straight through.
+pub(crate) struct ClosureEvaluator<F>(F);
 
-/// How a batched round's fresh configurations get evaluated: fanned out
-/// over a pool of scoped worker threads sharing a `Sync` closure, or fed
-/// serially through one stateful [`BatchEvaluator`] (the amortized fast
-/// path — no per-evaluation state rebuild, no thread handoff).
-pub(crate) enum EvalDispatch<'a, F> {
+impl<F> ClosureEvaluator<F>
+where
+    F: FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
+{
+    pub(crate) fn new(evaluate: F) -> Self {
+        ClosureEvaluator(evaluate)
+    }
+}
+
+impl<F> BatchEvaluator for ClosureEvaluator<F>
+where
+    F: FnMut(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError>,
+{
+    /// First attempt; a failure reads as a non-finite objective.
+    fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation {
+        (self.0)(space, cfg, 0).unwrap_or_else(|_| (f64::NAN, HashMap::new()))
+    }
+
+    fn evaluate_attempt(
+        &mut self,
+        space: &ParamSpace,
+        cfg: &Config,
+        attempt: usize,
+    ) -> Result<Evaluation, EvalError> {
+        (self.0)(space, cfg, attempt)
+    }
+}
+
+/// The evaluator signature of the thread-pool dispatch.
+type SyncEvalFn<'a> =
+    dyn Fn(&ParamSpace, &Config, usize) -> Result<Evaluation, EvalError> + Sync + 'a;
+
+/// How a round's fresh configurations get evaluated: fanned out over a
+/// pool of scoped worker threads sharing a `Sync` closure, or called in
+/// suggestion order through one [`BatchEvaluator`] (a stateful evaluator,
+/// or a serial driver's closure behind [`ClosureEvaluator`]).
+pub(crate) enum Dispatch<'a> {
     Pool {
         workers: usize,
-        evaluate: F,
+        evaluate: &'a SyncEvalFn<'a>,
     },
-    Batched {
-        evaluator: &'a mut dyn BatchEvaluator,
-    },
+    InOrder(&'a mut dyn BatchEvaluator),
+}
+
+impl Dispatch<'_> {
+    /// Run the retry loop for every configuration in `fresh`, appending one
+    /// outcome per configuration to `outcomes` *in suggestion order* —
+    /// recording order never depends on which worker finished first. With a
+    /// trace target each configuration gets an `eval` span; an in-order
+    /// round nests its spans under one `evaluate_many` span (`batch` size,
+    /// evaluator `reuse_hits` delta) and adds an `evaluate_many` profile
+    /// sample. `slots` and `outcomes` are caller-owned buffers recycled
+    /// across rounds.
+    #[allow(clippy::too_many_arguments)]
+    fn evaluate(
+        &mut self,
+        space: &ParamSpace,
+        fresh: &[Config],
+        retry: &RetryPolicy,
+        trace: Option<(&TraceCollector, SpanId)>,
+        slots: &mut Vec<SyncMutex<Option<ConfigOutcome>>>,
+        outcomes: &mut Vec<ConfigOutcome>,
+        profile: &mut ProfileBuilder,
+    ) {
+        match self {
+            Dispatch::Pool { workers, evaluate } => {
+                let run_one = |cfg: &Config, worker: usize| {
+                    let span = trace.map(|(t, parent)| t.child("eval", parent));
+                    attempt_config(space, cfg, retry, span, worker, &mut |s, c, attempt| {
+                        evaluate(s, c, attempt)
+                    })
+                };
+                fan_out(fresh, *workers, slots, outcomes, run_one);
+            }
+            Dispatch::InOrder(evaluator) => {
+                if fresh.is_empty() {
+                    return;
+                }
+                let mut round = trace.map(|(t, parent)| {
+                    let mut s = t.child("evaluate_many", parent);
+                    s.attr("batch", fresh.len());
+                    s
+                });
+                let reuse_before = evaluator.reuse_hits();
+                let t_batch = Instant::now();
+                for cfg in fresh {
+                    let span = round.as_ref().map(|r| r.child("eval"));
+                    outcomes.push(attempt_config(
+                        space,
+                        cfg,
+                        retry,
+                        span,
+                        0,
+                        &mut |s, c, attempt| evaluator.evaluate_attempt(s, c, attempt),
+                    ));
+                }
+                profile.sample("evaluate_many", t_batch.elapsed().as_secs_f64());
+                if let Some(s) = round.as_mut() {
+                    s.attr(
+                        "reuse_hits",
+                        evaluator.reuse_hits().saturating_sub(reuse_before),
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Fan `fresh` out over up to `workers` scoped threads (serially for a
@@ -113,7 +220,7 @@ pub(crate) enum EvalDispatch<'a, F> {
 /// `outputs` *in suggestion order*. `slots` is reusable scratch owned by
 /// the caller: both buffers keep their allocations across rounds, so the
 /// steady-state loop allocates nothing per proposal.
-pub(crate) fn fan_out<T: Send>(
+fn fan_out<T: Send>(
     fresh: &[Config],
     workers: usize,
     slots: &mut Vec<SyncMutex<Option<T>>>,
@@ -250,9 +357,10 @@ pub struct TuneReport {
     /// Evaluation-cache counters (hits are suggestions that never
     /// re-simulated).
     pub cache: CacheStats,
-    /// What was injected and survived. Empty for the fault-free drivers;
-    /// populated by [`Tuner::run_resilient`] /
-    /// [`Tuner::run_parallel_resilient`].
+    /// What was injected and survived: failed and non-finite attempts,
+    /// retries, quarantined configurations, outliers and degradation.
+    /// Every driver fills it — the fault-free ones quarantine a non-finite
+    /// objective instead of recording it — and it is empty for a clean run.
     pub faults: FaultLog,
     /// Where the run spent its time: per-stage count/total/mean/p95 plus
     /// cache and retry attribution. Populated by every driver.
@@ -344,8 +452,8 @@ impl Tuner {
     pub const DEFAULT_MAX_EVALS: usize = 100;
 
     /// Consecutive duplicate suggestions tolerated before a run is declared
-    /// exhausted for its strategy. Applies identically to the serial and
-    /// batch loops (a batch contributes its duplicates in suggestion order).
+    /// exhausted for its strategy. Applies to every driver (a round
+    /// contributes its duplicates in suggestion order).
     pub const DEFAULT_MAX_CONSECUTIVE_DUPLICATES: usize = 16;
 
     /// Default number of suggestions asked for per batch in
@@ -447,8 +555,8 @@ impl Tuner {
     }
 
     /// Snapshot cadence in records (default
-    /// [`CheckpointOpts::DEFAULT_SNAPSHOT_EVERY`]). Parallel drivers
-    /// snapshot at the first round boundary at or past the cadence.
+    /// [`CheckpointOpts::DEFAULT_SNAPSHOT_EVERY`]). A snapshot is taken at
+    /// the first round boundary at or past the cadence.
     ///
     /// # Panics
     /// Panics on zero, or when called before [`checkpoint`](Self::checkpoint).
@@ -492,22 +600,6 @@ impl Tuner {
         &self.space
     }
 
-    /// Open the driver's root span on the attached collector, if any, with
-    /// the attributes every driver shares.
-    pub(crate) fn open_root(
-        &self,
-        driver: &str,
-        algorithm: &str,
-    ) -> Option<pstack_trace::SpanGuard<'_>> {
-        self.trace.as_deref().map(|t| {
-            let mut s = t.span(driver);
-            s.attr("algorithm", algorithm);
-            s.attr("seed", self.seed);
-            s.attr("max_evals", self.max_evals);
-            s
-        })
-    }
-
     /// Run the loop serially. `evaluate` maps a configuration to
     /// `(objective, aux)`; the objective is minimized.
     ///
@@ -515,7 +607,9 @@ impl Tuner {
     /// evaluation cache (a hit in [`TuneReport::cache`]) without consuming
     /// budget, but after [`max_consecutive_duplicates`]
     /// (`Self::max_consecutive_duplicates`) consecutive duplicates the run
-    /// ends early — the space is exhausted for this strategy.
+    /// ends early — the space is exhausted for this strategy. A
+    /// configuration whose objective is not finite is quarantined and
+    /// logged in [`TuneReport::faults`], never recorded.
     ///
     /// # Errors
     /// [`TuneError::NoEvaluations`] when the algorithm proposes nothing and
@@ -523,10 +617,16 @@ impl Tuner {
     pub fn run(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
+        mut evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run", algorithm, None, None)?;
-        self.run_impl(algorithm, evaluate, session, None)
+        let mut evaluator = ClosureEvaluator::new(|s, c, _| Ok(evaluate(s, c)));
+        self.start(
+            Driver::RUN,
+            algorithm,
+            None,
+            None,
+            Dispatch::InOrder(&mut evaluator),
+        )
     }
 
     /// Resume a killed [`run`](Self::run) session from the checkpoint
@@ -547,200 +647,15 @@ impl Tuner {
     pub fn resume(
         &self,
         algorithm: &mut dyn SearchAlgorithm,
-        evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
-    ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) = self.load_session("run", algorithm, None)?;
-        tuner.run_impl(algorithm, evaluate, Some(session), Some(restored))
-    }
-
-    /// [`run`](Self::run) through a stateful [`BatchEvaluator`] instead of
-    /// a closure: the evaluator's reusable state (e.g. an arena) survives
-    /// across evaluations, amortizing all per-evaluation setup.
-    ///
-    /// The report is byte-identical to [`run`](Self::run) with an
-    /// equivalent closure — the loop, cache accounting, spans and WAL
-    /// records are shared. A session checkpointed here resumes via
-    /// [`resume`](Self::resume) (with a closure) or by calling this again
-    /// after [`checkpoint`](Self::checkpoint) — the WAL does not record how
-    /// evaluations were dispatched.
-    ///
-    /// # Errors
-    /// As [`run`](Self::run).
-    pub fn run_with(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
-        evaluator: &mut dyn BatchEvaluator,
-    ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run", algorithm, None, None)?;
-        self.run_impl(
-            algorithm,
-            |space, cfg| evaluator.evaluate(space, cfg),
-            session,
-            None,
-        )
-    }
-
-    fn run_impl(
-        &self,
-        algorithm: &mut dyn SearchAlgorithm,
         mut evaluate: impl FnMut(&ParamSpace, &Config) -> (f64, HashMap<String, f64>),
-        mut session: Option<ActiveSession>,
-        restored: Option<RestoredState>,
     ) -> Result<TuneReport, TuneError> {
-        self.preflight()?;
-        let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run", algorithm.name());
-        let (mut db, prior_len, mut cache, mut stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
-        // Fresh sessions snapshot their starting state immediately, so a
-        // resume target exists before the first evaluation completes.
-        checkpoint_tick(
-            &mut session,
-            &db,
-            &cache,
-            stats,
-            &rng,
-            consecutive_dups,
-            &*algorithm,
+        let mut evaluator = ClosureEvaluator::new(|s, c, _| Ok(evaluate(s, c)));
+        self.restart(
+            Driver::RUN,
+            algorithm,
             None,
-            || None,
-        )?;
-        while db.len() - prior_len < self.max_evals {
-            let t_suggest = Instant::now();
-            let suggestion = algorithm.suggest(&self.space, &db, &mut rng);
-            profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
-            let Some(cfg) = suggestion else {
-                break; // strategy exhausted (e.g. grid complete)
-            };
-            self.check_valid(algorithm, &cfg)?;
-            if cache.contains_key(&cfg) {
-                stats.hits += 1;
-                if let Some(root) = root.as_mut() {
-                    root.event_with(
-                        "cache_hit",
-                        vec![(
-                            "config".to_string(),
-                            AttrValue::Str(config_fingerprint(&cfg)),
-                        )],
-                    );
-                }
-                consecutive_dups += 1;
-                if consecutive_dups >= self.max_consecutive_duplicates {
-                    break;
-                }
-                continue;
-            }
-            consecutive_dups = 0;
-            stats.misses += 1;
-            let replayed = match session.as_mut() {
-                Some(s) => s.replay_next(&cfg)?,
-                None => None,
-            };
-            let (objective, aux) = match replayed {
-                Some(rec) => {
-                    // Answered from the WAL: no evaluator call, but the
-                    // profile keeps its one-sample-per-miss invariant.
-                    profile.sample("evaluate", 0.0);
-                    let Some(objective) = rec.objective else {
-                        return Err(TuneError::Checkpoint {
-                            detail: format!(
-                                "record {} has no objective, but the fault-free driver never \
-                                 quarantines",
-                                rec.ordinal
-                            ),
-                        });
-                    };
-                    (objective, rec.aux)
-                }
-                None => {
-                    let mut span = root.as_ref().map(|r| {
-                        let mut s = r.child("eval");
-                        s.attr("worker", 0usize);
-                        s.attr("config", config_fingerprint(&cfg));
-                        s
-                    });
-                    let t_eval = Instant::now();
-                    let (objective, aux) = evaluate(&self.space, &cfg);
-                    profile.sample("evaluate", t_eval.elapsed().as_secs_f64());
-                    if let Some(s) = span.as_mut() {
-                        s.attr("objective", objective);
-                    }
-                    drop(span);
-                    if let Some(s) = session.as_mut() {
-                        s.log(&EvalRecord {
-                            ordinal: s.next_ordinal(),
-                            config: cfg.clone(),
-                            objective: Some(objective),
-                            aux: aux.clone(),
-                            events: Vec::new(),
-                            failed_attempts: 0,
-                            backoff_s: 0.0,
-                        })?;
-                    }
-                    (objective, aux)
-                }
-            };
-            cache.insert(cfg.clone(), (objective, aux.clone()));
-            db.record(cfg, objective, aux);
-            checkpoint_tick(
-                &mut session,
-                &db,
-                &cache,
-                stats,
-                &rng,
-                consecutive_dups,
-                &*algorithm,
-                None,
-                || None,
-            )?;
-        }
-        if let Some(s) = session.as_mut() {
-            s.finish()?;
-        }
-        let report = self.report(algorithm, db, prior_len, stats, profile);
-        if let (Some(root), Ok(report)) = (root.as_mut(), &report) {
-            root.attr("evals", report.evals);
-            root.attr("best_objective", report.best_objective);
-        }
-        report
-    }
-
-    /// Loop state for a driver: either rebuilt from a restored snapshot or
-    /// initialized fresh from the tuner's settings.
-    pub(crate) fn loop_state(
-        &self,
-        restored: Option<RestoredState>,
-    ) -> (
-        PerfDatabase,
-        usize,
-        HashMap<Config, Evaluation>,
-        CacheStats,
-        SmallRng,
-        usize,
-    ) {
-        match restored {
-            Some(r) => (
-                r.db,
-                r.prior_len,
-                r.cache,
-                r.stats,
-                r.rng,
-                r.consecutive_dups,
-            ),
-            None => {
-                let db = self.warm_start.clone().unwrap_or_default();
-                let prior_len = db.len();
-                let cache = self.prior_cache(&db);
-                (
-                    db,
-                    prior_len,
-                    cache,
-                    CacheStats::default(),
-                    SmallRng::seed_from_u64(self.seed),
-                    0,
-                )
-            }
-        }
+            Dispatch::InOrder(&mut evaluator),
+        )
     }
 
     /// Run the loop with batched suggestions and a pool of `workers` threads
@@ -750,9 +665,10 @@ impl Tuner {
     /// Determinism: batches are composed from the seeded RNG and the batch
     /// size alone, and results are recorded in suggestion order, so for any
     /// algorithm a seeded run returns the identical [`TuneReport`] for 1
-    /// worker or 100. For [`RandomSearch`](crate::RandomSearch) the batched
-    /// run is additionally equivalent to the serial [`run`](Self::run)
-    /// (its batch-aware sampler consumes the same RNG stream).
+    /// worker or 100. With [`batch_size`](Self::batch_size) 1 the run equals
+    /// the serial [`run`](Self::run); for [`RandomSearch`](crate::RandomSearch)
+    /// it does at any batch size (its batch-aware sampler consumes the same
+    /// RNG stream).
     ///
     /// `evaluate` must be `Sync`: it is shared by reference across workers.
     ///
@@ -793,13 +709,11 @@ impl Tuner {
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run_parallel", algorithm, None, None)?;
-        self.run_parallel_impl(
-            algorithm,
-            EvalDispatch::Pool { workers, evaluate },
-            session,
-            None,
-        )
+        let dispatch = Dispatch::Pool {
+            workers,
+            evaluate: &|s, c, _| Ok(evaluate(s, c)),
+        };
+        self.start(Driver::PARALLEL, algorithm, None, None, dispatch)
     }
 
     /// Resume a killed [`run_parallel`](Self::run_parallel) session — see
@@ -818,26 +732,25 @@ impl Tuner {
         workers: usize,
         evaluate: impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
     ) -> Result<TuneReport, TuneError> {
-        let (tuner, session, restored) = self.load_session("run_parallel", algorithm, None)?;
-        tuner.run_parallel_impl(
-            algorithm,
-            EvalDispatch::Pool { workers, evaluate },
-            Some(session),
-            Some(restored),
-        )
+        let dispatch = Dispatch::Pool {
+            workers,
+            evaluate: &|s, c, _| Ok(evaluate(s, c)),
+        };
+        self.restart(Driver::PARALLEL, algorithm, None, dispatch)
     }
 
     /// [`run_parallel`](Self::run_parallel) through a stateful
-    /// [`BatchEvaluator`]: whole `suggest_batch` proposals flow through one
-    /// amortized `evaluate_many` call per round instead of a thread pool —
-    /// the fast path when a single warm evaluator outruns N cold ones.
+    /// [`BatchEvaluator`]: each round's fresh proposals go through one
+    /// evaluator in suggestion order instead of a thread pool — the fast
+    /// path when a single warm evaluator outruns N cold ones.
     ///
     /// The report is byte-identical to [`run_parallel`](Self::run_parallel)
-    /// with an equivalent closure (any worker count): batch composition,
-    /// recording order, cache accounting and WAL records are shared. The
-    /// trace gains one `evaluate_many` span per round (`batch` size,
-    /// evaluator `reuse_hits`) parenting that round's `eval` spans, and the
-    /// profile gains an `evaluate_many` stage alongside the per-evaluation
+    /// with an equivalent closure (any worker count), and the session
+    /// resumes through [`resume_parallel`](Self::resume_parallel): the WAL
+    /// does not record how evaluations were dispatched. The trace gains one
+    /// `evaluate_many` span per round (`batch` size, evaluator
+    /// `reuse_hits`) parenting that round's `eval` spans, and the profile
+    /// gains an `evaluate_many` stage alongside the per-evaluation
     /// `evaluate` samples.
     ///
     /// # Errors
@@ -847,55 +760,98 @@ impl Tuner {
         algorithm: &mut dyn SearchAlgorithm,
         evaluator: &mut dyn BatchEvaluator,
     ) -> Result<TuneReport, TuneError> {
-        let session = self.open_session("run_parallel", algorithm, None, None)?;
-        let dispatch: EvalDispatch<'_, EvalFn> = EvalDispatch::Batched { evaluator };
-        self.run_parallel_impl(algorithm, dispatch, session, None)
+        self.start(
+            Driver::PARALLEL,
+            algorithm,
+            None,
+            None,
+            Dispatch::InOrder(evaluator),
+        )
     }
 
-    fn run_parallel_impl<F>(
+    /// Open a session for `driver` when checkpointing, then drive the loop
+    /// from a fresh state. `robustness` is `None` for the fault-free
+    /// drivers.
+    pub(crate) fn start(
         &self,
+        driver: Driver,
         algorithm: &mut dyn SearchAlgorithm,
-        mut dispatch: EvalDispatch<'_, F>,
+        fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        robustness: Option<&Robustness>,
+        dispatch: Dispatch<'_>,
+    ) -> Result<TuneReport, TuneError> {
+        let session = self.open_session(driver.name, algorithm, fallback.as_deref(), robustness)?;
+        let state = LoopState::fresh(self, *robustness.unwrap_or(&Robustness::PLAIN));
+        self.drive(driver, algorithm, fallback, state, dispatch, session)
+    }
+
+    /// Reload `driver`'s checkpointed session and drive the loop on from
+    /// its snapshot, with the settings its metadata recorded.
+    pub(crate) fn restart(
+        &self,
+        driver: Driver,
+        algorithm: &mut dyn SearchAlgorithm,
+        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        dispatch: Dispatch<'_>,
+    ) -> Result<TuneReport, TuneError> {
+        let (tuner, session, state) =
+            self.load_session(driver, algorithm, fallback.as_deref_mut())?;
+        tuner.drive(driver, algorithm, fallback, state, dispatch, Some(session))
+    }
+
+    /// The one suggest → evaluate → record loop behind every driver.
+    ///
+    /// Each round asks the active algorithm for up to one round of
+    /// proposals and walks them in suggestion order: quarantined
+    /// configurations and cache hits (including repeats within the round)
+    /// count toward the consecutive-duplicate exit; fresh ones are answered
+    /// from the WAL replay queue while it lasts and evaluated live after
+    /// that, logged, and absorbed — recorded, or quarantined. Snapshots are
+    /// taken at round boundaries only.
+    fn drive(
+        &self,
+        driver: Driver,
+        algorithm: &mut dyn SearchAlgorithm,
+        mut fallback: Option<&mut (dyn SearchAlgorithm + '_)>,
+        mut st: LoopState,
+        mut dispatch: Dispatch<'_>,
         mut session: Option<ActiveSession>,
-        restored: Option<RestoredState>,
-    ) -> Result<TuneReport, TuneError>
-    where
-        F: Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync,
-    {
-        if let EvalDispatch::Pool { workers, .. } = &dispatch {
+    ) -> Result<TuneReport, TuneError> {
+        if let Dispatch::Pool { workers, .. } = &dispatch {
             assert!(*workers > 0, "need at least one worker");
         }
         self.preflight()?;
+        let round_size = if driver.serial { 1 } else { self.batch_size };
         let mut profile = ProfileBuilder::new();
-        let mut root = self.open_root("tuner.run_parallel", algorithm.name());
-        if let Some(root) = root.as_mut() {
+        let mut root = self.trace.as_deref().map(|t| {
+            let mut s = t.span(&format!("tuner.{}", driver.name));
+            s.attr("algorithm", algorithm.name());
+            s.attr("seed", self.seed);
+            s.attr("max_evals", self.max_evals);
             match &dispatch {
-                EvalDispatch::Pool { workers, .. } => root.attr("workers", *workers),
-                EvalDispatch::Batched { .. } => root.attr("dispatch", "batched"),
+                Dispatch::Pool { workers, .. } => s.attr("workers", *workers),
+                Dispatch::InOrder(_) => s.attr("dispatch", "batched"),
             }
-            root.attr("batch_size", self.batch_size);
-        }
-        let (mut db, prior_len, mut cache, mut stats, mut rng, mut consecutive_dups) =
-            self.loop_state(restored);
-        checkpoint_tick(
-            &mut session,
-            &db,
-            &cache,
-            stats,
-            &rng,
-            consecutive_dups,
-            &*algorithm,
-            None,
-            || None,
-        )?;
-        // Round-reusable buffers: proposals, evaluation outputs and pool
-        // slots keep their allocations across rounds, so the steady-state
-        // loop allocates nothing per proposal.
+            s.attr("batch_size", round_size);
+            s
+        });
+        // Fresh sessions snapshot their starting state immediately, so a
+        // resume target exists before the first evaluation completes.
+        checkpoint_tick(&mut session, &st, &*algorithm, fallback.as_deref())?;
+        // Round-reusable buffers: proposals, outcomes and pool slots keep
+        // their allocations across rounds (no per-proposal churn).
         let mut fresh: Vec<Config> = Vec::new();
-        let mut outputs: Vec<(Evaluation, f64)> = Vec::new();
-        let mut slots: Vec<SyncMutex<Option<(Evaluation, f64)>>> = Vec::new();
-        while db.len() - prior_len < self.max_evals {
-            let want = self.batch_size.min(self.max_evals - (db.len() - prior_len));
+        let mut outcomes: Vec<ConfigOutcome> = Vec::new();
+        let mut slots: Vec<SyncMutex<Option<ConfigOutcome>>> = Vec::new();
+        while st.db.len() - st.prior_len < self.max_evals {
+            let want = round_size.min(self.max_evals - (st.db.len() - st.prior_len));
+            let active: &mut dyn SearchAlgorithm = if st.degraded {
+                fallback
+                    .as_deref_mut()
+                    .expect("degraded only with fallback")
+            } else {
+                &mut *algorithm
+            };
             let mut proposals = {
                 let _span = root.as_ref().map(|r| {
                     let mut s = r.child("suggest_batch");
@@ -903,7 +859,7 @@ impl Tuner {
                     s
                 });
                 let t_suggest = Instant::now();
-                let proposals = algorithm.suggest_batch(&self.space, &db, &mut rng, want);
+                let proposals = active.suggest_batch(&self.space, &st.db, &mut st.rng, want);
                 profile.sample("suggest", t_suggest.elapsed().as_secs_f64());
                 proposals
             };
@@ -915,218 +871,104 @@ impl Tuner {
             // duplicate filter so every processed proposal lands in exactly
             // one cache counter (hits + misses == accepted suggestions).
             proposals.truncate(want);
-            // Filter duplicates in suggestion order, counting them toward
-            // the same consecutive-duplicate exit as the serial loop.
-            fresh.clear();
-            outputs.clear();
             let mut exhausted = false;
             for cfg in proposals {
-                self.check_valid(algorithm, &cfg)?;
-                if cache.contains_key(&cfg) || fresh.contains(&cfg) {
-                    stats.hits += 1;
-                    if let Some(root) = root.as_mut() {
-                        root.event_with(
-                            "cache_hit",
-                            vec![(
-                                "config".to_string(),
-                                AttrValue::Str(config_fingerprint(&cfg)),
-                            )],
-                        );
-                    }
-                    consecutive_dups += 1;
-                    if consecutive_dups >= self.max_consecutive_duplicates {
-                        exhausted = true;
-                        break;
-                    }
+                self.check_valid(active, &cfg)?;
+                let skipped = if st.is_quarantined(&cfg) {
+                    st.note_quarantine_skip(&cfg);
+                    "quarantine_skip"
+                } else if st.cache.contains_key(&cfg) || fresh.contains(&cfg) {
+                    st.stats.hits += 1;
+                    "cache_hit"
                 } else {
-                    consecutive_dups = 0;
+                    st.consecutive_dups = 0;
                     fresh.push(cfg);
+                    continue;
+                };
+                if let Some(root) = root.as_mut() {
+                    root.event_with(
+                        skipped,
+                        vec![(
+                            "config".to_string(),
+                            AttrValue::Str(config_fingerprint(&cfg)),
+                        )],
+                    );
+                }
+                st.consecutive_dups += 1;
+                if st.consecutive_dups >= self.max_consecutive_duplicates {
+                    exhausted = true;
+                    break;
                 }
             }
             // On resume, the round's leading configurations may already be
             // in the WAL: answer those from the replay queue, evaluate only
             // the remainder live.
-            let mut replayed: Vec<EvalRecord> = Vec::new();
             if let Some(s) = session.as_mut() {
-                while replayed.len() < fresh.len() {
-                    match s.replay_next(&fresh[replayed.len()])? {
-                        Some(rec) => replayed.push(rec),
+                while outcomes.len() < fresh.len() {
+                    match s.replay_next(&fresh[outcomes.len()])? {
+                        Some(rec) => outcomes.push(outcome_from_record(rec)?),
                         None => break,
                     }
                 }
             }
-            let replay_n = replayed.len();
-            for rec in replayed {
-                stats.misses += 1;
-                profile.sample("evaluate", 0.0);
-                let Some(objective) = rec.objective else {
-                    return Err(TuneError::Checkpoint {
-                        detail: format!(
-                            "record {} has no objective, but the fault-free driver never \
-                             quarantines",
-                            rec.ordinal
-                        ),
-                    });
-                };
-                cache.insert(rec.config.clone(), (objective, rec.aux.clone()));
-                db.record(rec.config, objective, rec.aux);
-            }
-            let trace = match (self.trace.as_deref(), root.as_ref()) {
-                (Some(t), Some(r)) => Some((t, r.id())),
-                _ => None,
-            };
-            match &mut dispatch {
-                EvalDispatch::Pool { workers, evaluate } => self.evaluate_batch(
-                    &fresh[replay_n..],
-                    *workers,
-                    evaluate,
-                    trace,
-                    &mut slots,
-                    &mut outputs,
-                ),
-                EvalDispatch::Batched { evaluator } => self.evaluate_many(
-                    &fresh[replay_n..],
-                    *evaluator,
-                    trace,
-                    &mut outputs,
-                    &mut profile,
-                ),
-            }
-            for (cfg, ((objective, aux), dur_s)) in fresh.drain(replay_n..).zip(outputs.drain(..)) {
-                if let Some(s) = session.as_mut() {
-                    s.log(&EvalRecord {
-                        ordinal: s.next_ordinal(),
-                        config: cfg.clone(),
-                        objective: Some(objective),
-                        aux: aux.clone(),
-                        events: Vec::new(),
-                        failed_attempts: 0,
-                        backoff_s: 0.0,
-                    })?;
+            let replayed = outcomes.len();
+            dispatch.evaluate(
+                &self.space,
+                &fresh[replayed..],
+                &st.robustness.retry,
+                self.trace.as_deref().zip(root.as_ref().map(|r| r.id())),
+                &mut slots,
+                &mut outcomes,
+                &mut profile,
+            );
+            if let Some(s) = session.as_mut() {
+                for (cfg, outcome) in fresh[replayed..].iter().zip(&outcomes[replayed..]) {
+                    s.log(&record_from_outcome(s.next_ordinal(), cfg, outcome))?;
                 }
-                stats.misses += 1;
-                profile.sample("evaluate", dur_s);
-                cache.insert(cfg.clone(), (objective, aux.clone()));
-                db.record(cfg, objective, aux);
             }
-            // Round boundary: the only point where a parallel snapshot is
-            // consistent (mid-round the RNG has already advanced past
-            // suggestions that are not yet recorded).
-            checkpoint_tick(
-                &mut session,
-                &db,
-                &cache,
-                stats,
-                &rng,
-                consecutive_dups,
-                &*algorithm,
-                None,
-                || None,
-            )?;
-            if exhausted {
+            for (cfg, outcome) in fresh.drain(..).zip(outcomes.drain(..)) {
+                profile.sample("evaluate", outcome.dur_s);
+                profile.retries(outcome.retry_count());
+                let Some((objective, aux)) = st.absorb(&cfg, outcome) else {
+                    continue;
+                };
+                st.stats.misses += 1;
+                st.cache.insert(cfg.clone(), (objective, aux.clone()));
+                st.db.record(cfg, objective, aux);
+                let to = fallback.as_deref().map(|f| f.name());
+                if st.observe_recorded(objective, algorithm.name(), to) {
+                    if let (Some(root), Some(to)) = (root.as_mut(), to) {
+                        root.event_with(
+                            "search_degraded",
+                            vec![("fallback".to_string(), AttrValue::Str(to.into()))],
+                        );
+                    }
+                }
+            }
+            checkpoint_tick(&mut session, &st, &*algorithm, fallback.as_deref())?;
+            if st.budget_spent() || exhausted {
                 break;
             }
         }
         if let Some(s) = session.as_mut() {
             s.finish()?;
         }
-        let report = self.report(algorithm, db, prior_len, stats, profile);
-        if let (Some(root), Ok(report)) = (root.as_mut(), &report) {
+        let degraded = st.degraded;
+        let active = match fallback.as_deref() {
+            Some(f) if degraded => f,
+            _ => &*algorithm,
+        };
+        let report = self.report(active, st, profile)?;
+        if let Some(root) = root.as_mut() {
             root.attr("evals", report.evals);
             root.attr("best_objective", report.best_objective);
+            root.attr("degraded", degraded);
         }
-        report
-    }
-
-    /// Evaluate `fresh` on up to `workers` scoped threads, appending one
-    /// `(result, duration)` per configuration to `outputs` *in suggestion
-    /// order* — recording order is therefore independent of which worker
-    /// finished first. With a trace target, each evaluation records an
-    /// `eval` span (worker id, config fingerprint, objective). `slots` and
-    /// `outputs` are caller-owned buffers recycled across rounds.
-    fn evaluate_batch(
-        &self,
-        fresh: &[Config],
-        workers: usize,
-        evaluate: &(impl Fn(&ParamSpace, &Config) -> (f64, HashMap<String, f64>) + Sync),
-        trace: Option<(&TraceCollector, SpanId)>,
-        slots: &mut Vec<SyncMutex<Option<(Evaluation, f64)>>>,
-        outputs: &mut Vec<(Evaluation, f64)>,
-    ) {
-        let eval_traced = |cfg: &Config, worker: usize| {
-            let mut span = trace.map(|(t, parent)| {
-                let mut s = t.child("eval", parent);
-                s.attr("worker", worker);
-                s.attr("config", config_fingerprint(cfg));
-                s
-            });
-            let t_eval = Instant::now();
-            let out = evaluate(&self.space, cfg);
-            let dur_s = t_eval.elapsed().as_secs_f64();
-            if let Some(s) = span.as_mut() {
-                s.attr("objective", out.0);
-            }
-            (out, dur_s)
-        };
-        fan_out(fresh, workers, slots, outputs, eval_traced);
-    }
-
-    /// Evaluate `fresh` serially through one stateful [`BatchEvaluator`],
-    /// appending `(result, duration)` pairs to `outputs` in suggestion
-    /// order. With a trace target, the whole round records an
-    /// `evaluate_many` span (`batch` size, evaluator `reuse_hits` delta)
-    /// parenting one `eval` span per configuration, and the profile gains
-    /// an `evaluate_many` sample covering the amortized call.
-    fn evaluate_many(
-        &self,
-        fresh: &[Config],
-        evaluator: &mut dyn BatchEvaluator,
-        trace: Option<(&TraceCollector, SpanId)>,
-        outputs: &mut Vec<(Evaluation, f64)>,
-        profile: &mut ProfileBuilder,
-    ) {
-        let mut span = trace.map(|(t, parent)| {
-            let mut s = t.child("evaluate_many", parent);
-            s.attr("batch", fresh.len());
-            s
-        });
-        let reuse_before = evaluator.reuse_hits();
-        let t_batch = Instant::now();
-        for cfg in fresh {
-            let mut eval_span = span.as_ref().map(|s| {
-                let mut e = s.child("eval");
-                e.attr("worker", 0usize);
-                e.attr("config", config_fingerprint(cfg));
-                e
-            });
-            let t_eval = Instant::now();
-            let out = evaluator.evaluate(&self.space, cfg);
-            let dur_s = t_eval.elapsed().as_secs_f64();
-            if let Some(e) = eval_span.as_mut() {
-                e.attr("objective", out.0);
-            }
-            outputs.push((out, dur_s));
-        }
-        profile.sample("evaluate_many", t_batch.elapsed().as_secs_f64());
-        if let Some(s) = span.as_mut() {
-            s.attr(
-                "reuse_hits",
-                evaluator.reuse_hits().saturating_sub(reuse_before),
-            );
-        }
-    }
-
-    /// Memoized results for warm-start priors (suggesting one is a hit, not
-    /// a re-simulation).
-    pub(crate) fn prior_cache(&self, db: &PerfDatabase) -> HashMap<Config, Evaluation> {
-        db.observations()
-            .iter()
-            .map(|o| (o.config.clone(), (o.objective, o.aux.clone())))
-            .collect()
+        Ok(report)
     }
 
     /// Static checks on the run's inputs, before any evaluation happens.
-    pub(crate) fn preflight(&self) -> Result<(), TuneError> {
+    fn preflight(&self) -> Result<(), TuneError> {
         if self.space.dims() == 0 {
             return Err(TuneError::Diagnostic {
                 context: "parameter space".to_string(),
@@ -1150,11 +992,7 @@ impl Tuner {
         Ok(())
     }
 
-    pub(crate) fn check_valid(
-        &self,
-        algorithm: &dyn SearchAlgorithm,
-        cfg: &Config,
-    ) -> Result<(), TuneError> {
+    fn check_valid(&self, algorithm: &dyn SearchAlgorithm, cfg: &Config) -> Result<(), TuneError> {
         if self.space.is_valid(cfg) {
             Ok(())
         } else {
@@ -1165,40 +1003,135 @@ impl Tuner {
         }
     }
 
-    pub(crate) fn report(
+    fn report(
         &self,
         algorithm: &dyn SearchAlgorithm,
-        db: PerfDatabase,
-        prior_len: usize,
-        stats: CacheStats,
+        st: LoopState,
         mut profile: ProfileBuilder,
     ) -> Result<TuneReport, TuneError> {
-        let Some(best) = db.best().cloned() else {
+        let Some(best) = st.db.best().cloned() else {
             return Err(TuneError::NoEvaluations {
                 algorithm: algorithm.name().to_string(),
             });
         };
         // Cache attribution mirrors the canonical counters exactly, so the
         // profile agrees with `TuneReport::cache` on every driver.
-        profile.cache_hits(stats.hits);
-        profile.cache_misses(stats.misses);
+        profile.cache_hits(st.stats.hits);
+        profile.cache_misses(st.stats.misses);
         Ok(TuneReport {
             algorithm: algorithm.name().to_string(),
             // Fresh evaluations only; warm-start priors are free.
-            evals: db.len() - prior_len,
+            evals: st.db.len() - st.prior_len,
             best_config: best.config,
             best_objective: best.objective,
-            db,
-            cache: stats,
-            faults: FaultLog::default(),
+            db: st.db,
+            cache: st.stats,
+            faults: st.faults,
             profile: profile.finish(),
         })
+    }
+}
+
+/// A public driver, as data. `name` is the root span (`tuner.<name>`) and
+/// [`SessionMeta::driver`](crate::SessionMeta::driver), so a session
+/// resumes only through the matching `resume*`; serial drivers ask for
+/// one suggestion per round; resilient drivers take their [`Robustness`]
+/// from the caller (and, on resume, from the session).
+#[derive(Clone, Copy)]
+pub(crate) struct Driver {
+    pub(crate) name: &'static str,
+    serial: bool,
+    pub(crate) resilient: bool,
+}
+
+impl Driver {
+    pub(crate) const RUN: Driver = Driver {
+        name: "run",
+        serial: true,
+        resilient: false,
+    };
+    pub(crate) const PARALLEL: Driver = Driver {
+        name: "run_parallel",
+        serial: false,
+        resilient: false,
+    };
+    pub(crate) const RESILIENT: Driver = Driver {
+        name: "run_resilient",
+        serial: true,
+        resilient: true,
+    };
+    pub(crate) const PARALLEL_RESILIENT: Driver = Driver {
+        name: "run_parallel_resilient",
+        serial: false,
+        resilient: true,
+    };
+}
+
+/// Everything the loop carries across rounds, and everything a checkpoint
+/// snapshot persists: the database and evaluation cache, the RNG, the
+/// duplicate streak, and the fault ledger (quarantine, fault log, fault
+/// budget, degradation).
+pub(crate) struct LoopState {
+    pub(crate) db: PerfDatabase,
+    /// Observations in the warm-start prior (not counted against budget).
+    pub(crate) prior_len: usize,
+    pub(crate) cache: HashMap<Config, Evaluation>,
+    pub(crate) stats: CacheStats,
+    pub(crate) rng: SmallRng,
+    pub(crate) consecutive_dups: usize,
+    pub(crate) robustness: Robustness,
+    pub(crate) faults: FaultLog,
+    /// Quarantine ledger keyed by config fingerprint, so a config
+    /// quarantined in one session is recognized when the same index vector
+    /// reappears from a checkpoint replay or a history warm start, and the
+    /// ledger can never hold two entries for one configuration.
+    pub(crate) quarantined: BTreeMap<String, Config>,
+    /// Ordinal of the next fresh (non-cached, non-quarantined) configuration.
+    pub(crate) fresh_idx: usize,
+    /// Failed attempts so far vs. the run-level budget.
+    pub(crate) failed_attempts: usize,
+    pub(crate) fault_budget: usize,
+    /// Once degraded, the fallback drives every later suggestion.
+    pub(crate) degraded: bool,
+}
+
+impl LoopState {
+    /// A fresh start from the tuner's settings. Warm-start priors are
+    /// memoized, so suggesting one is a cache hit, not a re-simulation.
+    fn fresh(tuner: &Tuner, robustness: Robustness) -> Self {
+        let db = tuner.warm_start.clone().unwrap_or_default();
+        let cache = db
+            .observations()
+            .iter()
+            .map(|o| (o.config.clone(), (o.objective, o.aux.clone())))
+            .collect();
+        LoopState {
+            prior_len: db.len(),
+            db,
+            cache,
+            stats: CacheStats::default(),
+            rng: SmallRng::seed_from_u64(tuner.seed),
+            consecutive_dups: 0,
+            robustness,
+            faults: FaultLog::new(),
+            quarantined: BTreeMap::new(),
+            fresh_idx: 0,
+            failed_attempts: 0,
+            fault_budget: Self::fault_budget(tuner.max_evals, &robustness),
+            degraded: false,
+        }
+    }
+
+    /// Failed attempts a run may spend before it is abandoned.
+    pub(crate) fn fault_budget(max_evals: usize, robustness: &Robustness) -> usize {
+        max_evals.max(1) * robustness.retry.max_attempts.max(1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultlog::FaultKind;
     use crate::resilient::{RetryPolicy, Robustness};
     use crate::search::{ExhaustiveSearch, ForestSearch, RandomSearch};
     use crate::space::Param;
@@ -1641,7 +1574,7 @@ mod tests {
         assert_eq!(report.db.len(), 21);
     }
 
-    /// Minimal stateful evaluator for the `_with` drivers: counts its
+    /// Minimal stateful evaluator for `run_parallel_with`: counts its
     /// evaluations and reports every call after the first as a reuse hit.
     struct BowlEvaluator {
         evals: usize,
@@ -1656,26 +1589,6 @@ mod tests {
         fn reuse_hits(&self) -> usize {
             self.evals.saturating_sub(1)
         }
-    }
-
-    #[test]
-    fn run_with_matches_run_byte_for_byte() {
-        let closure = Tuner::new(space())
-            .max_evals(12)
-            .seed(7)
-            .run(&mut RandomSearch::new(), bowl)
-            .unwrap();
-        let mut ev = BowlEvaluator { evals: 0 };
-        let batched = Tuner::new(space())
-            .max_evals(12)
-            .seed(7)
-            .run_with(&mut RandomSearch::new(), &mut ev)
-            .unwrap();
-        assert_eq!(ev.evals, batched.cache.misses, "one call per miss");
-        assert_eq!(
-            serde_json::to_string(&closure).unwrap(),
-            serde_json::to_string(&batched).unwrap()
-        );
     }
 
     #[test]
@@ -1747,5 +1660,58 @@ mod tests {
         for eval in &evals {
             assert!(round_ids.contains(&eval.parent.expect("eval spans have parents")));
         }
+    }
+    /// Stateful twin of [`nan_at_three`] for `run_parallel_with`.
+    struct NanAtThree;
+
+    impl BatchEvaluator for NanAtThree {
+        fn evaluate(&mut self, space: &ParamSpace, cfg: &Config) -> Evaluation {
+            nan_at_three(space, cfg)
+        }
+    }
+
+    fn nan_at_three(s: &ParamSpace, c: &Config) -> (f64, HashMap<String, f64>) {
+        if c[0] == 3 {
+            (f64::NAN, HashMap::new())
+        } else {
+            bowl(s, c)
+        }
+    }
+
+    #[test]
+    fn non_finite_objectives_are_quarantined_not_recorded() {
+        let tuner = Tuner::new(space()).max_evals(40).seed(5);
+        let serial = tuner.run(&mut ForestSearch::new(), nan_at_three).unwrap();
+        let pool = tuner
+            .run_parallel(&mut ForestSearch::new(), 4, nan_at_three)
+            .unwrap();
+        let batched = tuner
+            .run_parallel_with(&mut ForestSearch::new(), &mut NanAtThree)
+            .unwrap();
+        for report in [&serial, &pool, &batched] {
+            let counts = &report.faults.counts;
+            assert!(
+                counts.non_finite > 0,
+                "{}: x == 3 was tried",
+                report.algorithm
+            );
+            assert_eq!(counts.quarantined, counts.non_finite);
+            // Each NaN is logged, then quarantined; re-suggestions are skipped.
+            assert_eq!(
+                counts.total(),
+                2 * counts.non_finite + counts.quarantine_skips,
+                "no retries, outliers or degradation"
+            );
+            let kinds: Vec<FaultKind> = report.faults.events.iter().map(|e| e.kind).collect();
+            assert_eq!(
+                kinds[..2],
+                [FaultKind::NonFiniteObjective, FaultKind::Quarantined]
+            );
+            assert!(report.db.observations().iter().all(|o| o.config[0] != 3));
+        }
+        assert_eq!(
+            serde_json::to_string(&pool).unwrap(),
+            serde_json::to_string(&batched).unwrap()
+        );
     }
 }

@@ -210,7 +210,7 @@ impl HypreCoTune {
     }
 
     /// A fresh arena-backed [`BatchEvaluator`] over this space, for the
-    /// `*_with` drivers ([`Tuner::run_parallel_with`] and friends).
+    /// batched driver [`Tuner::run_parallel_with`].
     pub fn arena_evaluator(&self) -> HypreArenaEvaluator<'_> {
         HypreArenaEvaluator {
             cotune: self,
@@ -415,7 +415,7 @@ impl KernelCoTune {
     }
 
     /// A fresh arena-backed [`BatchEvaluator`] over this space, for the
-    /// `*_with` drivers ([`Tuner::run_parallel_with`] and friends).
+    /// batched driver [`Tuner::run_parallel_with`].
     pub fn arena_evaluator(&self) -> KernelArenaEvaluator<'_> {
         KernelArenaEvaluator {
             cotune: self,

@@ -105,6 +105,11 @@ stage_perfgate() {
         --require bench_evalthroughput --require ext_thermal --require ext_new_runtimes
 }
 
+stage_perfbench() {
+    echo "== perfbench build (own workspace; tier-1 never compiles it) =="
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+}
+
 stage_clippy() {
     echo "== cargo clippy -- -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
@@ -115,7 +120,7 @@ stage_lint() {
     cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
-ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate clippy lint)
+ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench clippy lint)
 
 list_stages() {
     for s in "${ALL_STAGES[@]}"; do
@@ -150,6 +155,7 @@ for s in "${stages[@]}"; do
         fleet) stage_fleet ;;
         chaosfleet | chaos-fleet) stage_chaosfleet ;;
         perfgate | perf-gate) stage_perfgate ;;
+        perfbench) stage_perfbench ;;
         clippy) stage_clippy ;;
         lint | pstack_lint) stage_lint ;;
         *)
