@@ -36,6 +36,7 @@
 //! byte-for-byte for any worker count, exactly like the fault-free drivers.
 
 use crate::ckpt::EvalRecord;
+use crate::db::PerfDatabase;
 use crate::faultlog::FaultKind;
 use crate::search::SearchAlgorithm;
 use crate::space::{Config, ParamSpace};
@@ -334,7 +335,7 @@ pub(crate) fn record_from_outcome(
 }
 
 /// Median of the recorded objectives (`None` when empty).
-fn median_objective(db: &crate::db::PerfDatabase) -> Option<f64> {
+fn median_objective(db: &PerfDatabase) -> Option<f64> {
     if db.is_empty() {
         return None;
     }

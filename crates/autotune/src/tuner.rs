@@ -801,8 +801,9 @@ impl Tuner {
 
     /// The one suggest → evaluate → record loop behind every driver.
     ///
-    /// Each round asks the active algorithm for up to one round of
-    /// proposals and walks them in suggestion order: quarantined
+    /// Each round asks the active algorithm for up to one suggestion
+    /// (serial drivers) or [`batch_size`](Self::batch_size) suggestions
+    /// and walks them in suggestion order: quarantined
     /// configurations and cache hits (including repeats within the round)
     /// count toward the consecutive-duplicate exit; fresh ones are answered
     /// from the WAL replay queue while it lasts and evaluated live after
