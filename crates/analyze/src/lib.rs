@@ -23,12 +23,12 @@
 //! | PSA011 | layer-invariants       | every layer's `invariants()` provider holds |
 //! | PSA012 | fault-plan-sanity      | chaos fault plans have coherent rates, unique names |
 //! | PSA013 | retry-budget-feasible  | the resilient loop's retry policy terminates in budget |
-//! | PSA014 | trace-exporter-coverage | every JSON-writing bench bin registers a trace exporter |
 //! | PSA015 | checkpoint-schema      | shipped algorithms honour the checkpoint-schema versioning contract |
-//! | PSA016 | scalar-equivalence-coverage | every batch-evaluator bench bin declares a scalar-equivalence check |
 //! | PSA017 | lock-hierarchy-coverage | declared lock hierarchy covers every pstack-sync site, acyclic + rank-consistent |
 //! | PSA018 | raw-sync-primitives    | library code uses pstack-sync wrappers, not raw std::sync primitives |
 //! | PSA019 | history-key-sanity     | shared-history shard bounds, canonical key fingerprints, no key collisions |
+//! | PSA020 | event-schedule-sanity  | event cursor monotone, same-instant rank order, events conserved, shards sum to the site budget |
+//! | PSA021 | fleet-fault-plan-sanity | fleet fault plans coherent, requeue budgets set, unique names, control and mixed plans shipped |
 //!
 //! Entry points:
 //!

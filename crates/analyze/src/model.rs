@@ -9,7 +9,7 @@
 //! them deliberately-broken snapshots.
 
 use powerstack_core::cotune::{HypreCoTune, KernelCoTune};
-use powerstack_core::experiments::{self, ArtifactInfo, ExperimentInfo};
+use powerstack_core::experiments::{self, ExperimentInfo};
 use powerstack_core::{
     component_catalog, knob_registry, vocabulary, CatalogEntry, Knob, Objective, Term,
 };
@@ -273,9 +273,6 @@ pub struct FrameworkModel {
     pub vocabulary: Vec<Term>,
     /// The experiment manifest.
     pub experiments: Vec<ExperimentInfo>,
-    /// The bench-binary manifest (PSA014 pairs JSON artifacts with trace
-    /// exporters).
-    pub artifacts: Vec<ArtifactInfo>,
     /// Every search configuration the experiments run.
     pub searches: Vec<SearchSpec>,
     /// Control resources that have an arbiter mediating concurrent writers
@@ -333,7 +330,6 @@ impl FrameworkModel {
             catalog: component_catalog(),
             vocabulary: vocabulary(),
             experiments: experiments::manifest(),
-            artifacts: experiments::artifact_registry(),
             searches: vec![
                 SearchSpec::new("cotune.hypre", hypre.space(), 100, 8),
                 SearchSpec::new("cotune.kernel", kernel.space(), 100, 8),

@@ -46,9 +46,7 @@ pub fn registry() -> Vec<Box<dyn Lint>> {
         Box::new(LayerInvariants),
         Box::new(FaultPlanSanity),
         Box::new(RetryBudgetFeasibility),
-        Box::new(TraceExporterCoverage),
         Box::new(CheckpointSchema),
-        Box::new(ScalarEquivalenceCoverage),
         Box::new(LockHierarchyCoverage),
         Box::new(RawSyncPrimitives),
         Box::new(HistoryKeySanity),
@@ -1138,66 +1136,6 @@ impl Lint for RetryBudgetFeasibility {
 }
 
 // ---------------------------------------------------------------------------
-// PSA014 — trace-exporter coverage
-// ---------------------------------------------------------------------------
-
-/// Every bench binary that writes a `results/*.json` artifact must also
-/// register a trace exporter (`results/trace_*.json`): an artifact with no
-/// trace cannot be attributed when a regeneration slows down or diverges.
-/// Duplicate bin registrations are errors too — the manifest is the lint's
-/// ground truth, so it must be internally consistent.
-pub struct TraceExporterCoverage;
-
-impl Lint for TraceExporterCoverage {
-    fn id(&self) -> &'static str {
-        "PSA014"
-    }
-    fn name(&self) -> &'static str {
-        "trace-exporter-coverage"
-    }
-    fn description(&self) -> &'static str {
-        "every JSON-writing bench bin registers a trace exporter"
-    }
-    fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        let mut seen = BTreeMap::new();
-        for a in &model.artifacts {
-            let path = format!("bench.bin.{}", a.bin);
-            if *seen.entry(a.bin).or_insert(0usize) >= 1 {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!("bin {} registered more than once", a.bin),
-                ));
-            }
-            *seen.get_mut(a.bin).expect("just inserted") += 1;
-            if a.writes_json && !a.trace_exporter {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} writes results/*.json but registers no trace exporter \
-                         (wrap its work in pstack_bench::traced)",
-                        a.bin
-                    ),
-                ));
-            }
-        }
-        if model.artifacts.is_empty() {
-            out.push(Diagnostic::warn(
-                self.id(),
-                "cross-layer",
-                "bench.bin",
-                "artifact registry is empty: no bench bins are declared",
-            ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PSA015 — checkpoint-schema compatibility
 // ---------------------------------------------------------------------------
 
@@ -1284,67 +1222,6 @@ impl Lint for CheckpointSchema {
                 "autotune.search",
                 "no shipped algorithms declared; the checkpoint-schema audit is vacuous",
             ));
-        }
-        out
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PSA016 — scalar-equivalence coverage
-// ---------------------------------------------------------------------------
-
-/// Benchmarks built on a batch-capable evaluator must declare a
-/// scalar-equivalence check. The batched SoA fast path earns its speedups by
-/// restructuring the oracle's arithmetic, so every registered bench artifact
-/// that times it has to assert the contract that keeps it honest:
-/// bit-identical results on the exact lane, bounded relative error on coarse
-/// lanes. A `batch_evaluator` registration without `scalar_equivalence` is a
-/// fast path whose numbers nothing would catch drifting from the model it
-/// claims to accelerate. The inverse declaration (`scalar_equivalence`
-/// without `batch_evaluator`) is flagged too — an equivalence check with no
-/// batch path compares the oracle to itself and gives false confidence.
-pub struct ScalarEquivalenceCoverage;
-
-impl Lint for ScalarEquivalenceCoverage {
-    fn id(&self) -> &'static str {
-        "PSA016"
-    }
-    fn name(&self) -> &'static str {
-        "scalar-equivalence-coverage"
-    }
-    fn description(&self) -> &'static str {
-        "every batch-evaluator bench bin declares a scalar-equivalence check"
-    }
-    fn check(&self, model: &FrameworkModel) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for a in &model.artifacts {
-            let path = format!("bench.bin.{}", a.bin);
-            if a.batch_evaluator && !a.scalar_equivalence {
-                out.push(Diagnostic::error(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} times a batch-capable evaluator but declares no \
-                         scalar-equivalence check (assert the exact lane is \
-                         bit-identical to the scalar oracle and bound coarse-lane \
-                         error, then register with ArtifactInfo::batched)",
-                        a.bin
-                    ),
-                ));
-            }
-            if a.scalar_equivalence && !a.batch_evaluator {
-                out.push(Diagnostic::warn(
-                    self.id(),
-                    "cross-layer",
-                    &path,
-                    format!(
-                        "{} declares a scalar-equivalence check but no batch \
-                         evaluator; the check compares the oracle to itself",
-                        a.bin
-                    ),
-                ));
-            }
         }
         out
     }
@@ -2085,7 +1962,7 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(ids, sorted, "rule IDs must be unique and in order");
-        assert_eq!(ids.len(), 21);
+        assert_eq!(ids.len(), 19);
         for r in &rules {
             assert!(!r.name().is_empty() && !r.description().is_empty());
         }

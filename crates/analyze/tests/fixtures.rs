@@ -4,7 +4,7 @@
 
 #![allow(clippy::disallowed_methods)]
 
-use powerstack_core::experiments::{ArtifactInfo, ExperimentInfo};
+use powerstack_core::experiments::ExperimentInfo;
 use powerstack_core::registry::{Actor, Knob, Layer, Temporal};
 use pstack_analyze::rules::{SearchFeasibility, SpaceWellFormedness};
 use pstack_analyze::{analyze, AlgorithmSchema, FrameworkModel, SearchSpec, Severity};
@@ -575,129 +575,6 @@ fn psa013_warns_on_shrinking_backoff() {
     assert!(
         warns.iter().any(|w| w.contains("backoff_factor")),
         "shrinking backoff not warned: {warns:?}"
-    );
-}
-
-// --- PSA014: trace-exporter coverage ---------------------------------------
-
-#[test]
-fn psa014_passes_on_shipped_artifacts() {
-    assert!(errors_of(&shipped(), "PSA014").is_empty());
-}
-
-#[test]
-fn psa014_flags_json_writer_without_trace_exporter() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "rogue_dump",
-        writes_json: true,
-        trace_exporter: false,
-        batch_evaluator: false,
-        scalar_equivalence: false,
-    });
-    let errs = errors_of(&m, "PSA014");
-    assert!(
-        errs.iter()
-            .any(|e| e.contains("rogue_dump") && e.contains("trace exporter")),
-        "untraced JSON writer not flagged: {errs:?}"
-    );
-}
-
-#[test]
-fn psa014_accepts_textonly_bin_without_trace() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "text_only_report",
-        writes_json: false,
-        trace_exporter: false,
-        batch_evaluator: false,
-        scalar_equivalence: false,
-    });
-    assert!(errors_of(&m, "PSA014").is_empty());
-}
-
-#[test]
-fn psa014_flags_duplicate_bin_registration() {
-    let mut m = shipped();
-    let first = m.artifacts[0].clone();
-    m.artifacts.push(first);
-    let errs = errors_of(&m, "PSA014");
-    assert!(
-        errs.iter().any(|e| e.contains("more than once")),
-        "duplicate registration not flagged: {errs:?}"
-    );
-}
-
-// --- PSA016: scalar-equivalence coverage -----------------------------------
-
-#[test]
-fn psa016_passes_on_shipped_artifacts() {
-    assert!(errors_of(&shipped(), "PSA016").is_empty());
-}
-
-#[test]
-fn psa016_flags_batch_evaluator_without_equivalence_check() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "rogue_batch_bench",
-        writes_json: true,
-        trace_exporter: true,
-        batch_evaluator: true,
-        scalar_equivalence: false,
-    });
-    let errs = errors_of(&m, "PSA016");
-    assert!(
-        errs.iter()
-            .any(|e| e.contains("rogue_batch_bench") && e.contains("scalar-equivalence")),
-        "unchecked batch evaluator not flagged: {errs:?}"
-    );
-}
-
-#[test]
-fn psa016_warns_on_equivalence_check_without_batch_path() {
-    let mut m = shipped();
-    m.artifacts.push(ArtifactInfo {
-        bin: "oracle_vs_oracle",
-        writes_json: true,
-        trace_exporter: true,
-        batch_evaluator: false,
-        scalar_equivalence: true,
-    });
-    let warns: Vec<String> = analyze(&m)
-        .by_rule("PSA016")
-        .filter(|d| d.severity == Severity::Warn)
-        .map(|d| format!("{d}"))
-        .collect();
-    assert!(
-        warns.iter().any(|w| w.contains("oracle_vs_oracle")),
-        "oracle-vs-oracle equivalence not warned: {warns:?}"
-    );
-}
-
-#[test]
-fn psa016_accepts_batched_registration() {
-    let m = shipped();
-    assert!(
-        m.artifacts
-            .iter()
-            .any(|a| a.bin == "bench_evalthroughput" && a.batch_evaluator && a.scalar_equivalence),
-        "bench_evalthroughput must register via ArtifactInfo::batched"
-    );
-    assert!(errors_of(&m, "PSA016").is_empty());
-}
-
-#[test]
-fn psa014_warns_on_empty_registry() {
-    let mut m = shipped();
-    m.artifacts.clear();
-    let warns: Vec<String> = analyze(&m)
-        .by_rule("PSA014")
-        .filter(|d| d.severity == Severity::Warn)
-        .map(|d| format!("{d}"))
-        .collect();
-    assert!(
-        warns.iter().any(|w| w.contains("empty")),
-        "empty registry not warned: {warns:?}"
     );
 }
 

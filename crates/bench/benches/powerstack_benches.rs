@@ -2,7 +2,7 @@
 //! reduced-scale versions of each paper experiment.
 //!
 //! `cargo bench` runs these; full-scale artifact regeneration is
-//! `cargo run -p pstack-bench --bin regenerate_all --release`.
+//! `cargo run -p pstack-bench --bin artifacts --release`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use powerstack_core::experiments::{fig2, fig4, fig6, uc6, uc7};

@@ -3,15 +3,14 @@
 //! Usage: `bench_diff [COMMITTED_DIR] [FRESH_DIR] [--require NAME ...]`
 //!
 //! Defaults: committed `results/`, fresh `$POWERSTACK_RESULTS_DIR` (the
-//! directory the regenerating bins were pointed at). Compares every
+//! directory the `artifacts` binary was pointed at). Compares every
 //! artifact covered by [`pstack_bench::diff::shipped_rules`] that exists in
 //! the fresh directory, prints the perfgate table, and exits nonzero on any
 //! tolerance violation or missing required artifact. The CI `perfgate` job
 //! regenerates a fast subset into a scratch dir and runs this binary with
 //! that subset `--require`d.
 //!
-//! Registered `writes_json: false`: this binary is a pure gate — it writes
-//! no artifact of its own (and therefore carries no trace exporter).
+//! This binary is a pure gate: it writes no artifact of its own.
 
 use pstack_bench::diff;
 use std::path::PathBuf;
@@ -49,8 +48,10 @@ fn main() {
         }
     }
 
-    let report =
-        pstack_bench::run_or_exit("bench_diff", diff::diff_dirs(&committed, &fresh, &require));
+    let report = diff::diff_dirs(&committed, &fresh, &require).unwrap_or_else(|e| {
+        eprintln!("error: bench_diff: {e}");
+        std::process::exit(1);
+    });
     println!("{}", diff::render(&report));
     if report.failures > 0 {
         eprintln!(

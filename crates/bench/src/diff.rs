@@ -115,7 +115,8 @@ fn numeric_pair(committed: &Value, fresh: &Value) -> Result<(f64, f64), String> 
 /// much drift is tolerated.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricRule {
-    /// Artifact stem (`bench_history`, `ext_resume`, ... — no extension).
+    /// Artifact stem (`ext_history`, `ext_resume`, ... — a name in
+    /// [`artifacts::table`](crate::artifacts::table), no extension).
     pub artifact: &'static str,
     /// Dotted path into the JSON value. Segments are map keys, decimal
     /// sequence indices, or `*` (every element of a sequence).
@@ -190,10 +191,6 @@ pub fn shipped_rules() -> Vec<MetricRule> {
             "uc3_hypre.speedup_exact",
             MinRatio(0.2),
         ),
-        // Warm-start history gate.
-        rule("bench_history", "rows.*.warmed_fewer", Exact),
-        rule("bench_history", "rows.*.best_objective", Exact),
-        rule("bench_history", "rows.*.priors", Exact),
         // Parallel-tuner gate: simulated results exact, speedup bounded.
         rule("bench_parallel_tuner", "plopper.results_identical", Exact),
         rule(
@@ -213,25 +210,24 @@ pub fn shipped_rules() -> Vec<MetricRule> {
         // Chaos-recovery gate: the injected-fault grid is seeded and fully
         // deterministic, so every verdict and counter must reproduce
         // byte-for-byte; only the wall-clock rate is a ratio.
-        rule("bench_fleetfaults", "arms.*.result.completed", Exact),
-        rule("bench_fleetfaults", "arms.*.result.failed", Exact),
-        rule("bench_fleetfaults", "arms.*.result.rejected", Exact),
-        rule("bench_fleetfaults", "arms.*.result.conservation_ok", Exact),
-        rule("bench_fleetfaults", "arms.*.result.replay_identical", Exact),
+        rule("ext_fleetfaults", "arms.*.result.completed", Exact),
+        rule("ext_fleetfaults", "arms.*.result.failed", Exact),
+        rule("ext_fleetfaults", "arms.*.result.rejected", Exact),
+        rule("ext_fleetfaults", "arms.*.result.conservation_ok", Exact),
+        rule("ext_fleetfaults", "arms.*.result.replay_identical", Exact),
+        rule("ext_fleetfaults", "arms.*.result.down_nodes_at_end", Exact),
+        rule("ext_fleetfaults", "arms.*.result.energy_j", Exact),
         rule(
-            "bench_fleetfaults",
-            "arms.*.result.down_nodes_at_end",
-            Exact,
-        ),
-        rule("bench_fleetfaults", "arms.*.result.energy_j", Exact),
-        rule(
-            "bench_fleetfaults",
+            "ext_fleetfaults",
             "arms.*.sim_hours_per_wall_s",
             MinRatio(0.2),
         ),
+        rule("ext_fleetfaults", "supervised.identical", Exact),
+        rule("ext_fleetfaults", "all_slo_ok", Exact),
         // Extension artifacts: pure simulation, everything deterministic.
         rule("ext_history", "rows.*.warmed_fewer", Exact),
         rule("ext_history", "rows.*.best_objective", Exact),
+        rule("ext_history", "rows.*.priors", Exact),
         rule("ext_emergency", "rows.*.makespan_s", Exact),
         rule("ext_emergency", "rows.*.violation_w", Exact),
         rule("ext_emergency", "rows.*.energy_j", Exact),
@@ -244,11 +240,6 @@ pub fn shipped_rules() -> Vec<MetricRule> {
         rule("ext_thermal", "rows.*.makespan_s", Exact),
         rule("ext_resume", "rows.*.identical", Exact),
         rule("ext_resume", "max_evals", Exact),
-        rule("ext_fleetfaults", "rows.*.completed", Exact),
-        rule("ext_fleetfaults", "rows.*.failed", Exact),
-        rule("ext_fleetfaults", "rows.*.replay_identical", Exact),
-        rule("ext_fleetfaults", "supervised.identical", Exact),
-        rule("ext_fleetfaults", "all_slo_ok", Exact),
     ]
 }
 
@@ -608,10 +599,9 @@ mod tests {
         .unwrap();
         let relaxed = diff_dirs(&results, &fresh, &[]).expect("diff runs");
         assert_eq!(relaxed.failures, 0);
-        assert!(relaxed.skipped.iter().any(|s| s == "bench_history"));
+        assert!(relaxed.skipped.iter().any(|s| s == "ext_history"));
 
-        let strict =
-            diff_dirs(&results, &fresh, &["bench_history".to_string()]).expect("diff runs");
+        let strict = diff_dirs(&results, &fresh, &["ext_history".to_string()]).expect("diff runs");
         assert!(strict.failures > 0, "required artifact missing must fail");
         let _ = std::fs::remove_dir_all(&fresh);
     }

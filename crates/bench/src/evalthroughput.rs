@@ -1,13 +1,13 @@
 //! Evaluation-throughput measurement for the batched SoA fast path.
 //!
-//! Shared between the `bench_evalthroughput` binary and `regenerate_all`:
-//! times the same deterministic sample of co-tune configurations through
-//! three evaluators and reports evals/min for each:
+//! The `bench_evalthroughput` artifact (extension E8): times the same
+//! deterministic sample of co-tune configurations through three evaluators
+//! and reports evals/min for each:
 //!
 //! - `scalar`: the oracle — `simulate_app` rebuilds the full simulated
 //!   stack (fresh `NodeManager`s, workload, runner) per evaluation.
 //! - `arena`: the `EvalArena` fast path — reset-in-place state over the
-//!   SoA `NodeBatch`, **bit-identical** to the scalar oracle (asserted for
+//!   SoA `NodeBatch`, **bit-identical** to the scalar oracle (compared on
 //!   every sampled configuration, cost and every aux metric).
 //! - `arena_coarse`: the arena with coarse-tick integration enabled —
 //!   uncapped spans integrate with the closed-form RC exponential over long
@@ -20,19 +20,18 @@
 //!
 //! Two spaces are sampled: the fig4-class kernel space (single node,
 //! §3.2.3's ytopt loop) and the uc3-class Hypre space (multi-node, §4.4).
-//! The headline acceptance check asserts ≥[`FIG4_TARGET_SPEEDUP`]× evals/min
-//! over scalar on the fig4-class space (enforced by the binary, reported
-//! here).
-//!
-//! The scalar-equivalence contract this artifact declares in
-//! `artifact_registry()` is enforced by lint PSA016.
+//! The acceptance check, [`gate`], requires ≥[`FIG4_TARGET_SPEEDUP`]×
+//! evals/min over scalar on the fig4-class space, the exact lane
+//! bit-identical to the scalar oracle and the coarse lane within
+//! [`COARSE_REL_TOL`] on both spaces — the speedups are only meaningful
+//! under those contracts.
 
 use powerstack_core::cotune::{HypreCoTune, KernelCoTune};
 use powerstack_core::interfaces::Objective;
 use powerstack_core::EvalArena;
 use pstack_autotune::{Config, ParamSpace};
 use pstack_sim::SimDuration;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -40,7 +39,7 @@ const SEED_NOTE: &str = "configs sampled deterministically via enumerate().step_
 /// Coarse-lane substep; capped spans are further clamped by the arena's
 /// held-tick ceiling.
 pub const COARSE_SUBSTEP_S: u64 = 10;
-/// Relative cost-error bound asserted on the coarse lane.
+/// Relative cost-error bound the gate holds the coarse lane to.
 pub const COARSE_REL_TOL: f64 = 0.01;
 /// Acceptance floor for the fig4-class exact-or-coarse speedup.
 pub const FIG4_TARGET_SPEEDUP: f64 = 10.0;
@@ -53,7 +52,7 @@ type ScalarEval<'a> = dyn Fn(&ParamSpace, &Config) -> EvalOut + 'a;
 type ArenaEval<'a> = dyn FnMut(&mut EvalArena, &ParamSpace, &Config) -> EvalOut + 'a;
 
 /// One evaluator's timing over the sampled configurations.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Lane {
     pub wall_s: f64,
     pub evals_per_min: f64,
@@ -67,7 +66,7 @@ fn lane(wall_s: f64, n: usize) -> Lane {
 }
 
 /// Throughput comparison over one co-tune space.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct SpaceBench {
     pub space: String,
     pub configs: usize,
@@ -90,7 +89,7 @@ impl SpaceBench {
     }
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct EvalThroughputResult {
     pub sampling: String,
     pub coarse_substep_s: u64,
@@ -99,10 +98,8 @@ pub struct EvalThroughputResult {
     pub uc3_hypre: SpaceBench,
 }
 
-/// Run the three lanes over `configs` with the given evaluate closures.
-/// Panics if the exact arena lane diverges from the scalar oracle by a
-/// single bit or the coarse lane drifts past [`COARSE_REL_TOL`] — the
-/// speedups this reports are only meaningful under those contracts.
+/// Run the three lanes over `configs` with the given evaluate closures and
+/// compare both arena lanes against the scalar oracle.
 fn bench_space(
     label: &str,
     space: &ParamSpace,
@@ -139,31 +136,15 @@ fn bench_space(
     // coarse lane within tolerance.
     let mut bit_identical = true;
     let mut coarse_max_rel_err = 0.0f64;
-    for (i, ((s, a), c)) in scalar_out
-        .iter()
-        .zip(&arena_out)
-        .zip(&coarse_out)
-        .enumerate()
-    {
-        let exact_match = s.0.to_bits() == a.0.to_bits()
+    for ((s, a), c) in scalar_out.iter().zip(&arena_out).zip(&coarse_out) {
+        bit_identical &= s.0.to_bits() == a.0.to_bits()
             && s.1.len() == a.1.len()
             && s.1
                 .iter()
                 .all(|(k, v)| a.1.get(k).map(|w| v.to_bits() == w.to_bits()) == Some(true));
-        assert!(
-            exact_match,
-            "{label}: arena diverged from the scalar oracle on config {i}: \
-             {:?} vs {:?}",
-            s, a
-        );
-        bit_identical &= exact_match;
         let rel = (c.0 - s.0).abs() / s.0.abs().max(f64::MIN_POSITIVE);
         coarse_max_rel_err = coarse_max_rel_err.max(rel);
     }
-    assert!(
-        coarse_max_rel_err <= COARSE_REL_TOL,
-        "{label}: coarse ticks drifted {coarse_max_rel_err:.4} > {COARSE_REL_TOL}"
-    );
 
     SpaceBench {
         space: label.to_string(),
@@ -216,6 +197,34 @@ pub fn run() -> EvalThroughputResult {
         fig4_kernel,
         uc3_hypre,
     }
+}
+
+/// The acceptance gate (see the module docs).
+pub fn gate(out: &crate::artifacts::Output) -> Vec<String> {
+    out.gate(|r: EvalThroughputResult| {
+        let mut violations = Vec::new();
+        let best = r.fig4_kernel.best_speedup();
+        if best < FIG4_TARGET_SPEEDUP {
+            violations.push(format!(
+                "fig4-class speedup {best:.1}x below the {FIG4_TARGET_SPEEDUP:.0}x target"
+            ));
+        }
+        for b in [&r.fig4_kernel, &r.uc3_hypre] {
+            if !b.bit_identical {
+                violations.push(format!(
+                    "{}: exact arena lane diverged from the scalar oracle",
+                    b.space
+                ));
+            }
+            if b.coarse_max_rel_err > COARSE_REL_TOL {
+                violations.push(format!(
+                    "{}: coarse lane drifted {:.4} > {COARSE_REL_TOL}",
+                    b.space, b.coarse_max_rel_err
+                ));
+            }
+        }
+        violations
+    })
 }
 
 /// Text rendering (the `results/bench_evalthroughput.txt` artifact).

@@ -1,10 +1,11 @@
 //! # pstack-bench — the paper-artifact regeneration harness
 //!
-//! One binary per table/figure/use case (see `src/bin/`), each running the
-//! corresponding `powerstack_core::experiments` module at full scale,
-//! printing the rendered table/series, and writing both the text and a JSON
-//! dump under `results/`. The `regenerate_all` binary runs everything —
-//! its output is the source of EXPERIMENTS.md.
+//! [`artifacts::table`] lists every table, figure, use case, extension and
+//! bench the harness regenerates, one entry each. The `artifacts` binary
+//! runs the named entries (every entry when given none) at full scale,
+//! prints each rendered table/series, and writes the text, a JSON dump and
+//! a Chrome trace under `results/` — the source of EXPERIMENTS.md. The
+//! `bench_diff` binary compares fresh artifacts against the committed ones.
 //!
 //! The Criterion benches in `benches/` measure the simulator's own hot
 //! paths (node stepping, job execution, search algorithms) so performance
@@ -12,12 +13,16 @@
 
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
+pub mod artifacts;
 pub mod diff;
 pub mod evalthroughput;
+mod fleet;
 pub mod lockorder;
+mod new_runtimes;
+mod parallel_tuner;
+mod uc3;
 
-use pstack_trace::{Trace, TraceCollector};
-use serde::Serialize;
+use pstack_trace::TraceCollector;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -28,53 +33,33 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(dir)
 }
 
-/// Print `rendered` and persist it (plus a JSON dump of `data`) under
-/// `results/<name>.{txt,json}`.
-pub fn emit<T: Serialize>(name: &str, rendered: &str, data: &T) {
-    println!("{rendered}");
+/// Write `contents` to `results/<file>`, returning the path; a failure is a
+/// warning on stderr, never a panic.
+fn write(file: &str, contents: &str) -> Option<PathBuf> {
     let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let txt = dir.join(format!("{name}.txt"));
-    let json = dir.join(format!("{name}.json"));
-    if let Err(e) = fs::write(&txt, rendered) {
-        eprintln!("warning: cannot write {}: {e}", txt.display());
-    }
-    match serde_json::to_string_pretty(data) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&json, s) {
-                eprintln!("warning: cannot write {}: {e}", json.display());
-            }
+    let path = dir.join(file);
+    match fs::create_dir_all(&dir).and_then(|()| fs::write(&path, contents)) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            None
         }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
     }
 }
 
-/// Persist `trace` as `results/trace_<name>.json` in Chrome `trace_event`
-/// format — open the file in `chrome://tracing` or Perfetto. This is the
-/// trace exporter PSA014 requires of every JSON-writing bench bin.
-pub fn emit_trace(name: &str, trace: &Trace) {
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("trace_{name}.json"));
-    match fs::write(&path, pstack_trace::to_chrome(trace)) {
-        Ok(()) => eprintln!(
-            "[trace: {} spans ({} dropped) -> {}]",
-            trace.len(),
-            trace.dropped,
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
+/// Print `out.text` and persist it, plus the JSON dump, under
+/// `results/<name>.{txt,json}`.
+pub fn emit(name: &str, out: &artifacts::Output) {
+    println!("{}", out.text);
+    write(&format!("{name}.txt"), &out.text);
+    let json = serde_json::to_string_pretty(&out.json).expect("a JSON value always renders");
+    write(&format!("{name}.json"), &json);
 }
 
 /// Run `f` against a fresh trace collector (wrapped in a root span named
-/// `name`), then export everything collected via [`emit_trace`].
+/// `name`), then persist everything collected as `results/trace_<name>.json`
+/// in Chrome `trace_event` format — open the file in `chrome://tracing` or
+/// Perfetto.
 ///
 /// The collector arrives as an `&Arc` so the closure can hand clones to
 /// [`pstack_autotune::Tuner::with_trace`]-style sinks; plain
@@ -86,26 +71,16 @@ pub fn traced<T>(name: &str, f: impl FnOnce(&Arc<TraceCollector>) -> T) -> T {
         let _root = collector.span(name);
         f(&collector)
     };
-    emit_trace(name, &collector.snapshot());
-    out
-}
-
-/// Unwrap an experiment result; on error, render the diagnostic to stderr
-/// and exit with status 1.
-///
-/// Bench bins must never exit 0 without writing their artifact: a tuning
-/// failure (e.g. [`TuneError::NoEvaluations`](pstack_autotune::TuneError))
-/// that merely prints and falls off `main` reads as a successful
-/// regeneration to CI and to `regenerate_all`'s callers.
-pub fn run_or_exit<T, E: std::fmt::Display>(label: &str, result: Result<T, E>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {label}: {e}");
-            eprintln!("error: {label}: no artifact written; exiting nonzero");
-            std::process::exit(1);
-        }
+    let trace = collector.snapshot();
+    let chrome = pstack_trace::to_chrome(&trace);
+    if let Some(path) = write(&format!("trace_{name}.json"), &chrome) {
+        let (spans, dropped) = (trace.len(), trace.dropped);
+        eprintln!(
+            "[trace: {spans} spans ({dropped} dropped) -> {}]",
+            path.display()
+        );
     }
+    out
 }
 
 /// Wall-clock a closure, printing the elapsed time to stderr.
@@ -120,6 +95,8 @@ pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
 mod tests {
     use super::*;
 
+    /// The one test touching `POWERSTACK_RESULTS_DIR`: tests run in
+    /// parallel threads, so a second writer of the variable would race.
     #[test]
     fn traced_emits_a_round_trippable_chrome_trace() {
         let tmp = std::env::temp_dir().join("pstack-bench-trace-test");
@@ -135,17 +112,26 @@ mod tests {
         let back = pstack_trace::from_chrome(&raw).expect("valid Chrome trace");
         assert!(back.by_name("unit_test_trace").next().is_some());
         assert!(back.by_name("work").next().is_some());
-        std::env::remove_var("POWERSTACK_RESULTS_DIR");
-        let _ = std::fs::remove_dir_all(&tmp);
-    }
 
-    #[test]
-    fn emit_writes_files() {
-        let tmp = std::env::temp_dir().join("pstack-bench-test");
-        std::env::set_var("POWERSTACK_RESULTS_DIR", &tmp);
-        emit("unit_test_artifact", "hello table", &vec![1, 2, 3]);
-        assert!(tmp.join("unit_test_artifact.txt").exists());
-        assert!(tmp.join("unit_test_artifact.json").exists());
+        // Every table entry takes the driver's path, which writes the text,
+        // the JSON and a trace rooted at the entry's name.
+        let table = artifacts::table();
+        let entry = table
+            .iter()
+            .find(|e| e.name == "table1_registry")
+            .expect("table1_registry entry");
+        assert!(artifacts::produce(entry, artifacts::Opts::default()).is_empty());
+        for file in [
+            "table1_registry.txt",
+            "table1_registry.json",
+            "trace_table1_registry.json",
+        ] {
+            assert!(tmp.join(file).exists(), "{file} not written");
+        }
+        let raw = std::fs::read_to_string(tmp.join("trace_table1_registry.json")).unwrap();
+        let back = pstack_trace::from_chrome(&raw).expect("valid Chrome trace");
+        assert!(back.by_name("table1_registry").next().is_some());
+
         std::env::remove_var("POWERSTACK_RESULTS_DIR");
         let _ = std::fs::remove_dir_all(&tmp);
     }

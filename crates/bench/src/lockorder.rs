@@ -1,34 +1,33 @@
 //! Lock-order / schedule-invariance audit artifact.
 //!
-//! Shared between the `bench_lockorder` binary and `regenerate_all`: drives
-//! all four tuning drivers (`run`, `run_parallel`, `run_resilient`,
-//! `run_parallel_resilient`) through the deterministic schedule explorer
-//! ([`pstack_sync::explore`]) on the standard 16-seed × {1, 2, 4, 8}-worker
-//! grid, and reports per driver:
+//! The `lockorder` artifact: drives all four tuning drivers (`run`,
+//! `run_parallel`, `run_resilient`, `run_parallel_resilient`) through the
+//! deterministic schedule explorer ([`pstack_sync::explore`]) on the
+//! standard 16-seed × {1, 2, 4, 8}-worker grid, and reports per driver:
 //!
 //! - whether every adversarial arm reproduced the unperturbed baseline
 //!   report byte-for-byte (`divergences == 0`);
 //! - the merged lock-order graph: observed sites, acquisition counts,
 //!   held-while-acquiring edges, inversions, smells, and any cycle.
 //!
-//! The rendered artifact lands in `results/lockorder.{json,txt}`; the
-//! binary exits nonzero unless every driver is clean. This is the runtime
-//! complement to the static PSA017/PSA018 lints: the lints pin the declared
-//! hierarchy, the explorer pins what actually happens under contention.
+//! The rendered artifact lands in `results/lockorder.{json,txt}`; [`gate`]
+//! fails it unless every driver is clean. This is the runtime complement
+//! to the static PSA017/PSA018 lints: the lints pin the declared hierarchy,
+//! the explorer pins what actually happens under contention.
 
 use pstack_autotune::{
     Config, Evaluation, ForestSearch, ParamSpace, RandomSearch, Robustness, Tuner,
 };
 use pstack_faults::{FaultPlan, FaultyEvaluator};
 use pstack_sync::{explore, sites, SeedGrid};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Evaluation budget per arm (small: the grid multiplies it by 64 × 4).
 const MAX_EVALS: usize = 16;
 
 /// One driver's exploration outcome, flattened for the artifact.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct DriverAudit {
     /// Driver name (`run`, `run_parallel`, …).
     pub driver: String,
@@ -51,7 +50,7 @@ pub struct DriverAudit {
 }
 
 /// The full audit across every driver.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct LockOrderReport {
     /// Seeds explored per driver.
     pub seeds: usize,
@@ -102,7 +101,24 @@ fn audit(name: &str, grid: &SeedGrid, mut run: impl FnMut(usize) -> String) -> D
     }
 }
 
-/// Run the audit over `grid` (the binary passes [`SeedGrid::standard`]).
+/// The acceptance gate: every driver reproduced its baseline with an
+/// inversion-free, cycle-free, smell-free graph over declared sites only.
+pub fn gate(out: &crate::artifacts::Output) -> Vec<String> {
+    out.gate(|r: LockOrderReport| {
+        if r.clean {
+            Vec::new()
+        } else {
+            vec![
+                "schedule explorer found a divergence, inversion, smell, cycle, or \
+                  undeclared site"
+                    .into(),
+            ]
+        }
+    })
+}
+
+/// Run the audit over `grid` (the artifact table passes
+/// [`SeedGrid::standard`]).
 pub fn run(grid: &SeedGrid) -> LockOrderReport {
     let mut drivers = Vec::new();
 

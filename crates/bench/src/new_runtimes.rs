@@ -1,6 +1,8 @@
-//! Regenerate extension E3: the additional Table 2 runtimes — uncore power
-//! scavenger and adaptive duty-cycle modulation — alone and composed with
-//! COUNTDOWN (three disjoint knobs under gated arbitration).
+//! Extension E3: the additional Table 2 runtimes — uncore power scavenger
+//! and adaptive duty-cycle modulation — alone and composed with COUNTDOWN
+//! (three disjoint knobs under gated arbitration).
+
+use crate::artifacts::Output;
 use pstack_apps::synthetic::{Profile, SyntheticApp};
 use pstack_apps::workload::AppModel;
 use pstack_apps::MpiModel;
@@ -13,6 +15,8 @@ use pstack_runtime::{
 use pstack_sim::{SeedTree, SimTime};
 use serde::Serialize;
 
+const SEED: u64 = 20200915;
+
 #[derive(Serialize)]
 struct Row {
     variant: String,
@@ -22,10 +26,10 @@ struct Row {
     slowdown_pct: f64,
 }
 
-fn run(variant: &str, seed: u64) -> (f64, f64) {
+fn simulate(variant: &str) -> (f64, f64) {
     let app = SyntheticApp::new(Profile::ComputeHeavy, 60.0, 30);
     let n = 4;
-    let seeds = SeedTree::new(seed);
+    let seeds = SeedTree::new(SEED);
     let mut nodes = NodeManager::fleet(
         n,
         NodeConfig::server_default(),
@@ -54,24 +58,22 @@ fn run(variant: &str, seed: u64) -> (f64, f64) {
     (r.makespan.as_secs_f64(), r.energy_j)
 }
 
-fn main() {
-    pstack_analyze::startup_gate();
-    let seed = 20200915;
-    let rows = pstack_bench::traced("ext_new_runtimes", |_tc| {
-        let (t0, e0) = run("none", seed);
-        let mut rows = Vec::new();
-        for v in ["none", "scavenger", "duty-cycle", "countdown", "all-three"] {
-            let (t, e) = if v == "none" { (t0, e0) } else { run(v, seed) };
-            rows.push(Row {
+/// Run every variant against the agent-free baseline and render the table.
+pub fn run() -> Output {
+    let (t0, e0) = simulate("none");
+    let rows: Vec<Row> = ["none", "scavenger", "duty-cycle", "countdown", "all-three"]
+        .into_iter()
+        .map(|v| {
+            let (t, e) = if v == "none" { (t0, e0) } else { simulate(v) };
+            Row {
                 variant: v.to_string(),
                 time_s: t,
                 energy_kj: e / 1e3,
                 saving_pct: 100.0 * (e0 - e) / e0,
                 slowdown_pct: 100.0 * (t - t0) / t0,
-            });
-        }
-        rows
-    });
+            }
+        })
+        .collect();
     let mut out = String::from(
         "EXTENSION E3 / COMPOSED RUNTIMES: scavenger + duty-cycle + COUNTDOWN on disjoint knobs\n\
          variant     | time_s | energy_kJ | saving_pct | slowdown_pct\n",
@@ -82,5 +84,5 @@ fn main() {
             r.variant, r.time_s, r.energy_kj, r.saving_pct, r.slowdown_pct
         ));
     }
-    pstack_bench::emit("ext_new_runtimes", &out, &rows);
+    Output::new(out, &rows)
 }

@@ -1,8 +1,8 @@
-//! Wall-clock benchmark of the parallel batch tuner: the same 100-eval
-//! random search over the Hypre co-tuning space, serially and with 8
-//! workers. RandomSearch keeps the observation set identical across drivers
-//! (batch-aware sampling replays the serial RNG stream), so the comparison
-//! isolates evaluation throughput.
+//! Extension E5: wall-clock benchmark of the parallel batch tuner — the
+//! same 100-eval random search over the Hypre co-tuning space, serially and
+//! with 8 workers. RandomSearch keeps the observation set identical across
+//! drivers (batch-aware sampling replays the serial RNG stream), so the
+//! comparison isolates evaluation throughput.
 //!
 //! Two evaluator variants are timed:
 //!
@@ -15,10 +15,12 @@
 //!   model computation the host's cores can overlap (≈1x on a single-core
 //!   container, near-linear on real multi-core hardware).
 
+use crate::artifacts::Output;
 use powerstack_core::cotune::HypreCoTune;
 use powerstack_core::interfaces::Objective;
-use pstack_autotune::{RandomSearch, TuneReport, Tuner};
-use serde::Serialize;
+use pstack_autotune::{Config, ParamSpace, RandomSearch, TraceCollector, TuneReport, Tuner};
+use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const MAX_EVALS: usize = 100;
@@ -26,7 +28,8 @@ const SEED: u64 = 20200906;
 const WORKERS: usize = 8;
 const LAUNCH_LATENCY: Duration = Duration::from_millis(100);
 
-#[derive(Debug, Serialize)]
+/// One evaluator variant, serial vs parallel.
+#[derive(Debug, Serialize, Deserialize)]
 struct Comparison {
     serial_s: f64,
     parallel_s: f64,
@@ -34,7 +37,8 @@ struct Comparison {
     results_identical: bool,
 }
 
-#[derive(Debug, Serialize)]
+/// The `bench_parallel_tuner` artifact.
+#[derive(Debug, Serialize, Deserialize)]
 struct ParallelBenchResult {
     max_evals: usize,
     seed: u64,
@@ -52,9 +56,9 @@ struct ParallelBenchResult {
 fn compare(
     cotune: &HypreCoTune,
     launch_latency: Option<Duration>,
-    trace: &std::sync::Arc<pstack_autotune::TraceCollector>,
-) -> (Comparison, TuneReport) {
-    let evaluate = |space: &pstack_autotune::ParamSpace, cfg: &pstack_autotune::Config| {
+    trace: &Arc<TraceCollector>,
+) -> Result<(Comparison, TuneReport), String> {
+    let evaluate = |space: &ParamSpace, cfg: &Config| {
         if let Some(lat) = launch_latency {
             std::thread::sleep(lat);
         }
@@ -63,22 +67,22 @@ fn compare(
     let tuner = Tuner::new(cotune.space())
         .max_evals(MAX_EVALS)
         .seed(SEED)
-        .with_trace(std::sync::Arc::clone(trace));
+        .with_trace(Arc::clone(trace));
 
     let t0 = Instant::now();
     let serial = tuner
         .run(&mut RandomSearch::new(), evaluate)
-        .expect("joint space is non-empty");
+        .map_err(|e| e.to_string())?;
     let serial_s = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
     let parallel = tuner
         .run_parallel(&mut RandomSearch::new(), WORKERS, evaluate)
-        .expect("joint space is non-empty");
+        .map_err(|e| e.to_string())?;
     let parallel_s = t1.elapsed().as_secs_f64();
 
     let results_identical = serial.db.observations() == parallel.db.observations();
-    (
+    Ok((
         Comparison {
             serial_s,
             parallel_s,
@@ -86,20 +90,14 @@ fn compare(
             results_identical,
         },
         parallel,
-    )
+    ))
 }
 
-fn main() {
-    pstack_analyze::startup_gate();
+/// Time both variants and render the table.
+pub fn run(trace: &Arc<TraceCollector>) -> Result<Output, String> {
     let cotune = HypreCoTune::new(Objective::MinTime);
-    let ((compute_only, _), (plopper, report)) =
-        pstack_bench::traced("bench_parallel_tuner", |tc| {
-            let compute = pstack_bench::timed("compute_only", || compare(&cotune, None, tc));
-            let plopper =
-                pstack_bench::timed("plopper", || compare(&cotune, Some(LAUNCH_LATENCY), tc));
-            (compute, plopper)
-        });
-
+    let (compute_only, _) = compare(&cotune, None, trace)?;
+    let (plopper, report) = compare(&cotune, Some(LAUNCH_LATENCY), trace)?;
     let r = ParallelBenchResult {
         max_evals: MAX_EVALS,
         seed: SEED,
@@ -112,28 +110,33 @@ fn main() {
         evals: report.evals,
         best_objective: report.best_objective,
     };
+    let row = |label: &str, c: &Comparison| {
+        format!(
+            "{label:<28} | {:>9.2} | {:>10.2} | {:>6.2}x | {}\n",
+            c.serial_s, c.parallel_s, c.speedup, c.results_identical
+        )
+    };
     let rendered = format!(
-        "PARALLEL BATCH TUNER: {evals} evals over the Hypre co-tune space (seed {seed}, {workers} workers, {cores} host core(s))\n\
-         evaluator                    |  serial_s | parallel_s | speedup | identical\n\
-         plopper (sim + {lat} ms launch) | {ps:>9.2} | {pp:>10.2} | {px:>6.2}x | {pi}\n\
-         compute only (bare sim)      | {cs:>9.2} | {cp:>10.2} | {cx:>6.2}x | {ci}\n",
-        evals = r.max_evals,
-        seed = r.seed,
-        workers = r.workers,
-        cores = r.host_cores,
-        lat = r.launch_latency_ms,
-        ps = r.plopper.serial_s,
-        pp = r.plopper.parallel_s,
-        px = r.plopper.speedup,
-        pi = r.plopper.results_identical,
-        cs = r.compute_only.serial_s,
-        cp = r.compute_only.parallel_s,
-        cx = r.compute_only.speedup,
-        ci = r.compute_only.results_identical,
+        "PARALLEL BATCH TUNER: {} evals over the Hypre co-tune space (seed {}, {} workers, {} host core(s))\n\
+         evaluator                    |  serial_s | parallel_s | speedup | identical\n{}{}",
+        r.max_evals,
+        r.seed,
+        r.workers,
+        r.host_cores,
+        row(&format!("plopper (sim + {} ms launch)", r.launch_latency_ms), &r.plopper),
+        row("compute only (bare sim)", &r.compute_only),
     );
-    pstack_bench::emit("bench_parallel_tuner", &rendered, &r);
-    assert!(
-        r.plopper.results_identical && r.compute_only.results_identical,
-        "parallel run diverged from serial"
-    );
+    Ok(Output::new(rendered, &r))
+}
+
+/// The acceptance gate: both variants observed exactly what the serial
+/// run did.
+pub fn gate(out: &Output) -> Vec<String> {
+    out.gate(|r: ParallelBenchResult| {
+        if r.plopper.results_identical && r.compute_only.results_identical {
+            Vec::new()
+        } else {
+            vec!["parallel run diverged from serial".into()]
+        }
+    })
 }

@@ -1,4 +1,4 @@
-//! Regenerate use case 3.2.3's cross-layer extension: the ytopt loop over
+//! Use case 3.2.3's cross-layer extension: the ytopt loop over
 //! application + system knobs *under an imposed power cap*.
 //!
 //! "Under a system power cap, the framework can be used to find the best
@@ -10,10 +10,13 @@
 //! optimum at the loop-transformation layer). Part B fixes a tight cap and
 //! sweeps the objective: each objective lands on a different configuration.
 
+use crate::artifacts::Output;
 use powerstack_core::cotune::KernelCoTune;
 use powerstack_core::Objective;
 use pstack_autotune::ForestSearch;
 use serde::Serialize;
+
+const SEED: u64 = 20200909;
 
 #[derive(Serialize)]
 struct Row {
@@ -25,62 +28,43 @@ struct Row {
     power_w: f64,
 }
 
-fn tune_at(caps: Vec<f64>, objective: Objective, label: &str, seed: u64) -> Row {
+fn tune_at(caps: Vec<f64>, objective: Objective, label: &str) -> Result<Row, String> {
     let mut cotune = KernelCoTune::new(objective);
     cotune.node_caps_w = caps;
     let space = cotune.space();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let report = pstack_bench::timed(label, || {
-        pstack_bench::run_or_exit(
-            label,
-            cotune.tune_parallel(&mut ForestSearch::new(), 60, seed, workers),
-        )
-    });
-    let best = report.db.best().expect("evaluated").clone();
-    Row {
+    let report = cotune
+        .tune_parallel(&mut ForestSearch::new(), 60, SEED, workers)
+        .map_err(|e| format!("{label}: {e}"))?;
+    let best = report
+        .db
+        .best()
+        .ok_or_else(|| format!("{label}: no evaluations"))?;
+    let aux = |k: &str| best.aux.get(k).copied().unwrap_or(f64::NAN);
+    Ok(Row {
         label: label.to_string(),
         best_cost: report.best_objective,
         config: space.describe(&report.best_config),
-        time_s: best.aux.get("time_s").copied().unwrap_or(f64::NAN),
-        energy_j: best.aux.get("energy_j").copied().unwrap_or(f64::NAN),
-        power_w: best.aux.get("power_w").copied().unwrap_or(f64::NAN),
-    }
+        time_s: aux("time_s"),
+        energy_j: aux("energy_j"),
+        power_w: aux("power_w"),
+    })
 }
 
-fn main() {
-    pstack_analyze::startup_gate();
-    let seed = 20200909;
-    let rows = pstack_bench::traced("uc3_cross_layer_ytopt", |_tc| {
+/// Tune the six scenarios and render the table.
+pub fn run() -> Result<Output, String> {
+    let all_caps = || vec![0.0, 300.0, 240.0];
+    let rows = vec![
         // Part A: min-time at three imposed cap levels.
-        let mut rows = vec![
-            tune_at(vec![0.0], Objective::MinTime, "uncapped/min-time", seed),
-            tune_at(vec![300.0], Objective::MinTime, "cap300W/min-time", seed),
-            tune_at(vec![240.0], Objective::MinTime, "cap240W/min-time", seed),
-        ];
+        tune_at(vec![0.0], Objective::MinTime, "uncapped/min-time")?,
+        tune_at(vec![300.0], Objective::MinTime, "cap300W/min-time")?,
+        tune_at(vec![240.0], Objective::MinTime, "cap240W/min-time")?,
         // Part B: the cap itself becomes a knob; the paper's three objectives
         // ("smallest runtime, lowest power, lowest energy") pick different caps.
-        let all_caps = || vec![0.0, 300.0, 240.0];
-        rows.push(tune_at(
-            all_caps(),
-            Objective::MinTime,
-            "free-cap/min-time",
-            seed,
-        ));
-        rows.push(tune_at(
-            all_caps(),
-            Objective::MinEnergy,
-            "free-cap/min-energy",
-            seed,
-        ));
-        rows.push(tune_at(
-            all_caps(),
-            Objective::MinPower,
-            "free-cap/min-power",
-            seed,
-        ));
-        rows
-    });
-
+        tune_at(all_caps(), Objective::MinTime, "free-cap/min-time")?,
+        tune_at(all_caps(), Objective::MinEnergy, "free-cap/min-energy")?,
+        tune_at(all_caps(), Objective::MinPower, "free-cap/min-power")?,
+    ];
     let mut out = String::from(
         "USE CASE 3.2.3 / CROSS-LAYER YTOPT UNDER IMPOSED POWER CAPS (60 evals each)\n\
          scenario            | time_s | energy_kJ | power_W | configuration\n",
@@ -95,5 +79,5 @@ fn main() {
             r.config,
         ));
     }
-    pstack_bench::emit("uc3_cross_layer_ytopt", &out, &rows);
+    Ok(Output::new(out, &rows))
 }

@@ -20,8 +20,8 @@
 //!    job is lost or double-counted across requeues and enclave rejoins.
 //! 6. **Recovery** — every MTBF-failed node is back up at drain end.
 //!
-//! `results/ext_fleetfaults.*` renders the grid; `bench_fleetfaults` gates
-//! CI on the SLOs.
+//! `results/ext_fleetfaults.*` renders the grid, and the artifact's gate
+//! fails CI on any SLO violation.
 
 use crate::experiments::fleet::FleetScenario;
 use crate::framework::TuningLevel;

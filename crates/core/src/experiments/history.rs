@@ -23,7 +23,7 @@
 //!
 //! Expected shape: on every arm the warmed campaign reaches the band in
 //! strictly fewer fresh evaluations than the cold one (`warmed_fewer` on
-//! every row); `bench_history` exits nonzero otherwise.
+//! every row); the `ext_history` artifact's gate fails otherwise.
 
 use crate::cotune::{HypreCoTune, KernelCoTune};
 use crate::interfaces::Objective;

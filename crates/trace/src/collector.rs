@@ -87,8 +87,8 @@ impl Default for TraceCollector {
 }
 
 impl TraceCollector {
-    /// Default ring capacity: enough for every span of a full
-    /// `regenerate_all` figure at the default budgets.
+    /// Default ring capacity: enough for every span of a full-scale paper
+    /// figure at the default budgets.
     pub const DEFAULT_CAPACITY: usize = 65_536;
 
     /// A collector with the default capacity.

@@ -45,13 +45,13 @@ stage_resume() {
 
 stage_perf() {
     echo "== eval-throughput acceptance (batched fast path >= 10x, bit-identical) =="
-    cargo run -q --release -p pstack-bench --bin bench_evalthroughput
+    cargo run -q --release -p pstack-bench --bin artifacts -- bench_evalthroughput
 }
 
 stage_conc() {
     echo "== concurrency audit (schedule explorer + lock-order gate + PSA017/018) =="
     cargo test -q --test concurrency_audit
-    cargo run -q --release -p pstack-bench --bin bench_lockorder
+    cargo run -q --release -p pstack-bench --bin artifacts -- lockorder
     cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
@@ -61,13 +61,13 @@ stage_history() {
     cargo test -q --test history_proptests
     cargo test -q --test history_service
     cargo test -q --test history_warm_golden
-    cargo run -q --release -p pstack-bench --bin bench_history
+    cargo run -q --release -p pstack-bench --bin artifacts -- ext_history
 }
 
 stage_fleet() {
     echo "== fleet-scale event engine (equivalence grid + 4k-node/50k-job ladder) =="
     cargo test -q -p pstack-rm --test event_equivalence
-    cargo run -q --release -p pstack-bench --bin bench_fleet
+    cargo run -q --release -p pstack-bench --bin artifacts -- bench_fleet
 }
 
 stage_chaosfleet() {
@@ -79,14 +79,12 @@ stage_chaosfleet() {
     local out=target/chaosfleet
     rm -rf "$out"
     mkdir -p "$out"
-    POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
-        cargo run -q --release -p pstack-bench --bin ext_fleetfaults
-    POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
-        cargo run -q --release -p pstack-bench --bin bench_fleetfaults
+    POWERSTACK_RESULTS_DIR="$out" POWERSTACK_SMOKE=1 \
+        cargo run -q --release -p pstack-bench --bin artifacts -- ext_fleetfaults
     # The gate must demonstrably trip: an injected regression exits nonzero.
-    if POWERSTACK_RESULTS_DIR="$out" POWERSTACK_CHAOSFLEET_SMOKE=1 \
+    if POWERSTACK_RESULTS_DIR="$out" POWERSTACK_SMOKE=1 \
         POWERSTACK_FLEETFAULTS_INJECT_REGRESSION=1 \
-        cargo run -q --release -p pstack-bench --bin bench_fleetfaults >/dev/null 2>&1; then
+        cargo run -q --release -p pstack-bench --bin artifacts -- ext_fleetfaults >/dev/null 2>&1; then
         echo "chaosfleet: injected regression did NOT trip the gate" >&2
         exit 1
     fi
@@ -98,9 +96,8 @@ stage_perfgate() {
     local fresh=target/perfgate
     rm -rf "$fresh"
     mkdir -p "$fresh"
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin bench_evalthroughput
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_thermal
-    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin ext_new_runtimes
+    POWERSTACK_RESULTS_DIR="$fresh" cargo run -q --release -p pstack-bench --bin artifacts -- \
+        bench_evalthroughput ext_thermal ext_new_runtimes
     cargo run -q --release -p pstack-bench --bin bench_diff -- results "$fresh" \
         --require bench_evalthroughput --require ext_thermal --require ext_new_runtimes
 }

@@ -197,8 +197,8 @@ fn exporters_round_trip_a_real_tuning_trace() {
 
 #[test]
 fn bench_traced_artifact_is_a_valid_chrome_trace() {
-    // The same helper regenerate_all and every figure bin use, pointed at a
-    // scratch results dir: the written artifact must round-trip.
+    // The same helper the `artifacts` driver runs every entry through,
+    // pointed at a scratch results dir: the written artifact must round-trip.
     let tmp = std::env::temp_dir().join("pstack-trace-observability-test");
     std::env::set_var("POWERSTACK_RESULTS_DIR", &tmp);
     pstack_bench::traced("observability_check", |tc| {
