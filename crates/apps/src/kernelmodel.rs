@@ -281,6 +281,34 @@ mod tests {
         KernelModel::polybench_large()
     }
 
+    /// INV-AP-001: the transformation space for `max_threads` is non-empty,
+    /// every enumerated point satisfies its own dependency condition, and
+    /// the -O2 baseline is reachable.
+    fn kernel_space_problems(max_threads: usize) -> Vec<String> {
+        let space = KernelConfig::space(max_threads);
+        let mut out = Vec::new();
+        if space.is_empty() {
+            out.push(format!(
+                "kernel space for max_threads={max_threads} is empty"
+            ));
+        }
+        if let Some(bad) = space.iter().find(|c| !c.is_valid(max_threads)) {
+            out.push(format!(
+                "config violates its own dependency condition: {bad:?}"
+            ));
+        }
+        if !space.contains(&KernelConfig::baseline(1)) {
+            out.push("baseline (-O2) configuration is not reachable".to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_space_holds_and_empty_one_is_flagged() {
+        assert_eq!(kernel_space_problems(24), Vec::<String>::new());
+        assert!(!kernel_space_problems(0).is_empty());
+    }
+
     #[test]
     fn space_is_large_and_valid() {
         let space = KernelConfig::space(24);

@@ -22,12 +22,11 @@
 //!   which an app reports progress and accepts resource redistribution.
 //! - [`synthetic`]: randomized phase-sequence generators for workload mixes.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod epop;
 pub mod feti;
 pub mod hypre;
-pub mod invariants;
 pub mod kernelmodel;
 pub mod lulesh;
 pub mod mpi;
@@ -37,7 +36,6 @@ pub mod workload;
 pub use epop::{EpopApp, PhaseHint};
 pub use feti::{FetiConfig, FetiPreconditioner, FetiSolverKind};
 pub use hypre::{HypreConfig, HypreProblem, Preconditioner, Smoother, SolverKind};
-pub use invariants::invariants;
 pub use kernelmodel::{KernelConfig, KernelModel};
 pub use lulesh::Lulesh;
 pub use mpi::MpiModel;

@@ -888,4 +888,79 @@ mod tests {
         .schedule()
         .is_empty());
     }
+
+    /// PSA013: a retry policy that can terminate and honours its own
+    /// budgets — at least one attempt, finite non-negative backoffs that
+    /// grow rather than shrink, and a schedule inside the total cap.
+    fn retry_problems(r: &RetryPolicy) -> Vec<String> {
+        let mut out = Vec::new();
+        if r.max_attempts == 0 {
+            out.push("max_attempts = 0: nothing is ever evaluated".to_string());
+        }
+        for (what, v) in [
+            ("backoff_base_s", r.backoff_base_s),
+            ("backoff_factor", r.backoff_factor),
+            ("max_total_backoff_s", r.max_total_backoff_s),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                out.push(format!("{what} = {v} must be finite and non-negative"));
+            }
+        }
+        if r.backoff_factor < 1.0 {
+            out.push(format!(
+                "backoff_factor = {} shrinks backoffs",
+                r.backoff_factor
+            ));
+        }
+        let schedule = r.schedule();
+        if schedule.len() != r.max_attempts.saturating_sub(1) {
+            out.push(format!(
+                "{} backoffs for {} attempts",
+                schedule.len(),
+                r.max_attempts
+            ));
+        }
+        if schedule.iter().sum::<f64>() > r.max_total_backoff_s + 1e-9 {
+            out.push("summed backoff exceeds max_total_backoff_s".to_string());
+        }
+        out
+    }
+
+    #[test]
+    fn default_retry_policy_is_feasible_and_broken_ones_are_flagged() {
+        assert_eq!(
+            retry_problems(&RetryPolicy::default()),
+            Vec::<String>::new()
+        );
+        let ok = RetryPolicy::default();
+        for (broken, needle) in [
+            (
+                RetryPolicy {
+                    max_attempts: 0,
+                    ..ok
+                },
+                "max_attempts",
+            ),
+            (
+                RetryPolicy {
+                    backoff_base_s: -1.0,
+                    ..ok
+                },
+                "backoff_base_s",
+            ),
+            (
+                RetryPolicy {
+                    backoff_factor: 0.5,
+                    ..ok
+                },
+                "backoff_factor",
+            ),
+        ] {
+            let problems = retry_problems(&broken);
+            assert!(
+                problems.iter().any(|p| p.contains(needle)),
+                "{broken:?}: {problems:?}"
+            );
+        }
+    }
 }

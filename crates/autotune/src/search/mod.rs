@@ -18,9 +18,9 @@ use rand::rngs::SmallRng;
 use serde::Deserialize;
 
 /// Every search algorithm the framework ships, as fresh instances — the
-/// single source of truth for name ↔ checkpoint-schema pairs. The static
-/// model (`pstack-analyze`) audits this list, and the PSA015 lint holds
-/// each entry to the [`SearchState`] versioning contract.
+/// single source of truth for name ↔ checkpoint-schema pairs. This
+/// module's tests hold each entry to the [`SearchState`] versioning
+/// contract.
 pub fn shipped_algorithms() -> Vec<Box<dyn SearchAlgorithm>> {
     vec![
         Box::new(RandomSearch::new()),
@@ -40,8 +40,8 @@ pub fn shipped_algorithms() -> Vec<Box<dyn SearchAlgorithm>> {
 /// already carries ([`RandomSearch`], [`ForestSearch`](crate::ForestSearch)).
 /// Stateful algorithms override all three methods; `schema_version` must
 /// be bumped whenever the shape `save_state` produces changes, so a
-/// snapshot from an older build is rejected instead of misread (the
-/// PSA015 lint audits every shipped algorithm for this contract).
+/// snapshot from an older build is rejected instead of misread (this
+/// module's tests audit every shipped algorithm for this contract).
 pub trait SearchState {
     /// Version of the `save_state` schema (≥ 1).
     fn schema_version(&self) -> u32 {
@@ -367,17 +367,55 @@ mod tests {
             .is_err());
     }
 
-    #[test]
-    fn every_shipped_algorithm_declares_a_schema_version() {
-        let shipped = shipped_algorithms();
-        assert_eq!(shipped.len(), 5);
-        let mut names: Vec<String> = shipped.iter().map(|a| a.name().to_string()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 5, "algorithm names are unique");
-        for alg in &shipped {
-            assert!(alg.schema_version() >= 1, "{}: version floor", alg.name());
+    /// One algorithm's checkpoint declaration: name, schema version, and
+    /// whether a fresh instance accepts its own `save_state`.
+    type Declaration = (String, u32, Result<(), String>);
+
+    fn declaration(alg: &mut dyn SearchAlgorithm) -> Declaration {
+        let state = alg.save_state();
+        (
+            alg.name().to_string(),
+            alg.schema_version(),
+            alg.load_state(&state),
+        )
+    }
+
+    /// PSA015: the resume guard keys on `(name, schema_version)`, so
+    /// versions start at 1 (0 is the no-fallback sentinel in session
+    /// metadata), names are unique, fresh state round-trips, and the WAL
+    /// and snapshot format versions are themselves at least 1.
+    fn schema_problems(algs: &[Declaration], formats: [u32; 2]) -> Vec<String> {
+        let mut out = Vec::new();
+        if formats.contains(&0) {
+            out.push(format!("format versions {formats:?} must be at least 1"));
         }
+        for (i, (name, version, round_trip)) in algs.iter().enumerate() {
+            if *version == 0 {
+                out.push(format!("{name}: schema_version 0"));
+            }
+            if let Err(e) = round_trip {
+                out.push(format!("{name}: rejects its own save_state: {e}"));
+            }
+            if algs[..i].iter().any(|(n, ..)| n == name) {
+                out.push(format!("{name}: shipped twice"));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_algorithms_honour_the_checkpoint_schema_contract() {
+        use crate::{SNAPSHOT_FORMAT_VERSION, WAL_FORMAT_VERSION};
+        let mut algs: Vec<Declaration> = shipped_algorithms()
+            .iter_mut()
+            .map(|a| declaration(a.as_mut()))
+            .collect();
+        assert_eq!(algs.len(), 5);
+        let formats = [WAL_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION];
+        assert_eq!(schema_problems(&algs, formats), Vec::<String>::new());
+        algs.push(algs[0].clone());
+        algs.push(("amnesiac".into(), 0, Err("expected map".into())));
+        assert_eq!(schema_problems(&algs, [0, 1]).len(), 4);
     }
 
     #[test]

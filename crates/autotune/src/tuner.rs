@@ -976,6 +976,17 @@ impl Tuner {
                 diagnostics: vec!["space has no parameters; nothing to tune".to_string()],
             });
         }
+        // Lattices up to a million points are scanned for one valid
+        // configuration, so sampling never spins on an unsatisfiable space.
+        if self.space.cardinality() <= 1_000_000 && self.space.enumerate().next().is_none() {
+            return Err(TuneError::Diagnostic {
+                context: "parameter space".to_string(),
+                diagnostics: vec![format!(
+                    "constraints {:?} reject every configuration",
+                    self.space.constraint_names()
+                )],
+            });
+        }
         if let Some(prior) = &self.warm_start {
             let bad: Vec<String> = prior
                 .observations()
@@ -1442,6 +1453,19 @@ mod tests {
         let impossible = ParamSpace::new()
             .with(Param::ints("x", 0..3))
             .with_constraint("nothing allowed", |_, _| false);
+        let expected = TuneError::Diagnostic {
+            context: "parameter space".into(),
+            diagnostics: vec![
+                r#"constraints ["nothing allowed"] reject every configuration"#.into(),
+            ],
+        };
+        // Random search samples by rejection, which cannot terminate on
+        // this space; the preflight scan must stop it first.
+        let tuner = Tuner::new(impossible.clone()).max_evals(5);
+        assert_eq!(
+            tuner.run(&mut RandomSearch::new(), bowl).unwrap_err(),
+            expected
+        );
         for workers in [None, Some(1), Some(4)] {
             let tuner = Tuner::new(impossible.clone()).max_evals(5);
             let err = match workers {
@@ -1449,13 +1473,7 @@ mod tests {
                 Some(w) => tuner.run_parallel(&mut ExhaustiveSearch::new(), w, bowl),
             }
             .unwrap_err();
-            assert_eq!(
-                err,
-                TuneError::NoEvaluations {
-                    algorithm: "exhaustive".into()
-                }
-            );
-            assert!(err.to_string().contains("no evaluations"));
+            assert_eq!(err, expected);
         }
     }
 

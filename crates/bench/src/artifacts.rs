@@ -360,6 +360,34 @@ mod tests {
         assert_eq!(names.len(), t.len(), "duplicate table entry");
     }
 
+    /// PSA008: the paper artifacts the DESIGN.md §3 index promises — all
+    /// six figures and the three use cases — that `names` lacks.
+    fn missing_paper_artifacts<'a>(names: &[&'a str]) -> Vec<&'a str> {
+        let required = [
+            "fig1_end_to_end",
+            "fig2_interactions",
+            "fig3_geopm_policy",
+            "fig4_ytopt_loop",
+            "fig5_feti_regions",
+            "fig6_power_corridor",
+            "uc1_hypre_cotune",
+            "uc6_countdown",
+            "uc7_two_runtimes",
+        ];
+        required
+            .into_iter()
+            .filter(|r| !names.contains(r))
+            .collect()
+    }
+
+    #[test]
+    fn table_covers_every_paper_figure_and_use_case() {
+        let mut names: Vec<&str> = table().iter().map(|e| e.name).collect();
+        assert_eq!(missing_paper_artifacts(&names), Vec::<&str>::new());
+        names.retain(|n| *n != "fig3_geopm_policy");
+        assert_eq!(missing_paper_artifacts(&names), ["fig3_geopm_policy"]);
+    }
+
     #[test]
     fn every_diff_rule_names_a_table_entry() {
         let t = table();

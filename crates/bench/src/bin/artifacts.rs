@@ -21,7 +21,6 @@ fn main() {
         }
     };
 
-    pstack_analyze::startup_gate();
     let opts = Opts::from_env();
     let violations: Vec<String> = selected
         .iter()

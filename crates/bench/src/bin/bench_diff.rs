@@ -16,8 +16,6 @@ use pstack_bench::diff;
 use std::path::PathBuf;
 
 fn main() {
-    pstack_analyze::startup_gate();
-
     let mut committed = PathBuf::from("results");
     let mut fresh = PathBuf::from(
         std::env::var("POWERSTACK_RESULTS_DIR").unwrap_or_else(|_| "target/perfgate".to_string()),

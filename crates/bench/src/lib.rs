@@ -11,7 +11,7 @@
 //! paths (node stepping, job execution, search algorithms) so performance
 //! regressions in the substrate are caught like any other bug.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod artifacts;
 pub mod diff;

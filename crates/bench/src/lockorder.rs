@@ -12,7 +12,8 @@
 //!
 //! The rendered artifact lands in `results/lockorder.{json,txt}`; [`gate`]
 //! fails it unless every driver is clean. This is the runtime complement
-//! to the static PSA017/PSA018 lints: the lints pin the declared hierarchy,
+//! to the declared hierarchy in `pstack_sync::sites` and clippy's
+//! `disallowed-types` ban on raw primitives: those pin what is declared,
 //! the explorer pins what actually happens under contention.
 
 use pstack_autotune::{

@@ -466,7 +466,118 @@ impl BatchEvaluator for KernelArenaEvaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pstack_autotune::RandomSearch;
+    use pstack_autotune::{ParamValue, RandomSearch};
+
+    /// PSA001, PSA003, PSA004 and PSA006 over one search: knob values in
+    /// the node's physical envelope (0 W is the uncapped sentinel; power is
+    /// in watts, never milliwatts), distinct finite values, constraints
+    /// that admit at least 10% of an enumerable grid, and a budget, batch
+    /// and warm-start prior the space can honour.
+    fn search_problems(
+        space: &ParamSpace,
+        node: &NodeConfig,
+        (max_evals, batch_size): (usize, usize),
+        warm_start: &[Config],
+    ) -> Vec<String> {
+        let env = pstack_hwmodel::power_envelope(node);
+        let (f_lo, f_hi) = pstack_hwmodel::invariants::FREQ_ENVELOPE_GHZ;
+        let mut out = Vec::new();
+        for p in space.params() {
+            let name = p.name.as_str();
+            if name.ends_with("_mw") || name.ends_with("_uw") {
+                out.push(format!("{name}: the stack's power unit is the watt"));
+            }
+            for (i, v) in p.values.iter().enumerate() {
+                if p.values[..i].contains(v) {
+                    out.push(format!("{name}: duplicate value {v}"));
+                }
+                let x = match v {
+                    ParamValue::Int(i) => *i as f64,
+                    ParamValue::Float(f) => *f,
+                    ParamValue::Str(_) | ParamValue::Bool(_) => continue,
+                };
+                let outside = if name.ends_with("cap_w") {
+                    x != 0.0 && !(env.idle_w..=env.peak_w).contains(&x)
+                } else if name.ends_with("power_w") {
+                    !(0.0..10_000.0).contains(&x)
+                } else if name.contains("freq") || name.ends_with("_ghz") {
+                    !(f_lo..=f_hi).contains(&x)
+                } else if name == "threads" {
+                    !(1.0..=node.total_cores() as f64).contains(&x)
+                } else {
+                    name == "nodes" && x < 1.0
+                };
+                if !x.is_finite() || outside {
+                    out.push(format!("{name}: value {x} outside its physical range"));
+                }
+            }
+        }
+        if max_evals == 0 {
+            out.push("max_evals is 0".to_string());
+        }
+        if batch_size == 0 {
+            out.push("batch_size is 0".to_string());
+        }
+        let lattice = space.cardinality();
+        if lattice <= 1_000_000 {
+            let valid = space.enumerate().count() as u128;
+            if valid * 10 < lattice {
+                out.push(format!("only {valid} of {lattice} grid points are valid"));
+            }
+            if batch_size as u128 > valid {
+                out.push(format!(
+                    "batch_size {batch_size} exceeds {valid} valid points"
+                ));
+            }
+        }
+        for cfg in warm_start.iter().filter(|c| !space.is_valid(c)) {
+            out.push(format!(
+                "warm-start prior {cfg:?} is not a valid configuration"
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_searches_are_physical_and_feasible() {
+        let node = NodeConfig::server_default();
+        for space in [
+            HypreCoTune::new(Objective::MinEdp).space(),
+            KernelCoTune::new(Objective::MinEnergy).space(),
+        ] {
+            assert_eq!(
+                search_problems(&space, &node, (100, 8), &[]),
+                Vec::<String>::new()
+            );
+        }
+    }
+
+    #[test]
+    fn broken_searches_are_flagged() {
+        let node = NodeConfig::server_default();
+        let one = |p: Param| ParamSpace::new().with(p);
+        for space in [
+            one(Param::floats("node_cap_w", [50.0])), // below the idle floor
+            one(Param::floats("node_cap_w", [250_000.0])), // above peak
+            one(Param::floats("core_freq_ghz", [9.5])),
+            one(Param::ints("threads", [1, 4096])),
+            one(Param::ints("node_cap_mw", [250_000])),
+            one(Param::floats("node_power_w", [-5.0])),
+            one(Param::ints("tile", [8, 16, 8])),
+            one(Param::floats("cap", [250.0, f64::NAN])),
+            one(Param::ints("x", [1, 2, 3])).with_constraint("never", |_, _| false),
+        ] {
+            assert!(
+                !search_problems(&space, &node, (10, 1), &[]).is_empty(),
+                "{space:?}"
+            );
+        }
+        let xy = one(Param::ints("x", [1, 2])).with(Param::ints("y", [1, 2]));
+        assert_eq!(search_problems(&xy, &node, (0, 0), &[]).len(), 2);
+        assert_eq!(search_problems(&xy, &node, (10, 64), &[]).len(), 1);
+        let priors = [vec![0, 7], vec![0]]; // index out of range; wrong dims
+        assert_eq!(search_problems(&xy, &node, (10, 2), &priors).len(), 2);
+    }
 
     #[test]
     fn simulate_app_produces_sane_numbers() {

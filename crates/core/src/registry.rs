@@ -256,54 +256,171 @@ pub fn render_table1() -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    #[test]
-    fn every_layer_has_knobs() {
-        let reg = knob_registry();
-        for layer in Layer::ALL {
-            assert!(
-                reg.iter().filter(|k| k.layer == layer).count() >= 4,
-                "{layer:?} must have at least 4 registered knobs"
-            );
-        }
+    /// Whether `path` names an item of a workspace crate.
+    pub(crate) fn workspace_path(path: &str) -> bool {
+        const CRATES: [&str; 10] = [
+            "powerstack_core",
+            "pstack_rm",
+            "pstack_runtime",
+            "pstack_apps",
+            "pstack_node",
+            "pstack_hwmodel",
+            "pstack_autotune",
+            "pstack_sim",
+            "pstack_telemetry",
+            "pstack_bench",
+        ];
+        path.split_once("::")
+            .is_some_and(|(krate, _)| CRATES.contains(&krate))
     }
 
-    #[test]
-    fn implementations_are_workspace_paths() {
-        for k in knob_registry() {
-            assert!(
-                k.implemented_by.starts_with("pstack_")
-                    || k.implemented_by.starts_with("powerstack_"),
-                "{} has no workspace implementation path",
-                k.name
-            );
-            assert!(k.implemented_by.contains("::"));
-        }
-    }
-
-    #[test]
-    fn both_temporal_kinds_present() {
-        let reg = knob_registry();
-        assert!(reg.iter().any(|k| k.temporal == Temporal::LaunchTime));
-        assert!(reg.iter().any(|k| k.temporal == Temporal::Runtime));
-    }
-
-    #[test]
-    fn knob_names_unique_within_layer() {
-        let reg = knob_registry();
-        for layer in Layer::ALL {
-            let mut names: Vec<&str> = reg
+    /// PSA010: unique (layer, name) rows, `implemented_by` paths into a
+    /// workspace crate, each knob actuated by its layer's actor, and every
+    /// layer and both temporal kinds covered.
+    fn registry_problems(knobs: &[Knob]) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, k) in knobs.iter().enumerate() {
+            if knobs[..i]
                 .iter()
-                .filter(|k| k.layer == layer)
-                .map(|k| k.name)
-                .collect();
-            let before = names.len();
-            names.sort();
-            names.dedup();
-            assert_eq!(names.len(), before, "duplicate knob in {layer:?}");
+                .any(|p| (p.layer, p.name) == (k.layer, k.name))
+            {
+                out.push(format!("duplicate row {:?}/{}", k.layer, k.name));
+            }
+            if !workspace_path(k.implemented_by) {
+                out.push(format!(
+                    "{}: `{}` is no workspace item",
+                    k.name, k.implemented_by
+                ));
+            }
+            let actor = match k.layer {
+                Layer::System => Actor::ResourceManager,
+                Layer::JobRuntime => Actor::RuntimeSystem,
+                Layer::Application => Actor::Application,
+                Layer::Node => Actor::NodeManager,
+            };
+            if k.actor != actor {
+                out.push(format!(
+                    "{}: actor {:?} on the {:?} layer",
+                    k.name, k.actor, k.layer
+                ));
+            }
         }
+        for layer in Layer::ALL
+            .into_iter()
+            .filter(|l| !knobs.iter().any(|k| k.layer == *l))
+        {
+            out.push(format!("no knob for the {layer:?} layer"));
+        }
+        for t in [Temporal::LaunchTime, Temporal::Runtime] {
+            if !knobs.iter().any(|k| k.temporal == t) {
+                out.push(format!("no {t:?} knob"));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_registry_is_well_formed() {
+        let knobs = knob_registry();
+        assert_eq!(registry_problems(&knobs), Vec::<String>::new());
+        for layer in Layer::ALL {
+            assert!(
+                knobs.iter().filter(|k| k.layer == layer).count() >= 4,
+                "{layer:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn broken_registries_are_flagged() {
+        let mut knobs = knob_registry();
+        knobs.push(knobs[0].clone());
+        knobs.push(Knob {
+            implemented_by: "not_a_crate::Thing",
+            ..knobs[0].clone()
+        });
+        knobs.retain(|k| k.layer != Layer::Application);
+        let problems = registry_problems(&knobs);
+        assert_eq!(problems.len(), 4, "{problems:?}");
+    }
+
+    /// The control resource a knob actuates, when unambiguous (MERIC's
+    /// whole-configuration control, for one, maps to none).
+    fn control_resource(knob: &Knob) -> Option<&'static str> {
+        let (ib, name) = (knob.implemented_by, knob.name);
+        if ib.contains("set_power_limit")
+            || ib.contains("::cap::")
+            || knob.method.contains("power balancing")
+        {
+            Some("rapl-cap")
+        } else if ib.contains("set_freq") || ib.contains("countdown") || name.contains("DVFS") {
+            Some("core-freq")
+        } else if ib.contains("set_uncore") || ib.contains("scavenger") || name.contains("uncore") {
+            Some("uncore-freq")
+        } else if ib.contains("dutycycle")
+            || ib.contains("DutyCycle")
+            || name.contains("clock modulation")
+        {
+            Some("duty-cycle")
+        } else if ib.contains("fit_nodes") || ib.contains("irm") {
+            Some("node-assignment")
+        } else {
+            None
+        }
+    }
+
+    /// PSA002: the controls more than one (layer, actor) pair writes —
+    /// the §3.2 interaction hazard unless an arbiter mediates them.
+    fn shared_controls(knobs: &[Knob]) -> Vec<&'static str> {
+        let writer = |k: &Knob| (control_resource(k), k.layer, k.actor);
+        let mut shared: Vec<&str> = (0..knobs.len())
+            .filter_map(|i| {
+                let (res, layer, actor) = writer(&knobs[i]);
+                let other = knobs[..i]
+                    .iter()
+                    .map(writer)
+                    .any(|w| w.0 == res && w != (res, layer, actor));
+                res.filter(|_| other)
+            })
+            .collect();
+        shared.sort_unstable();
+        shared.dedup();
+        shared
+    }
+
+    #[test]
+    fn only_arbitrated_controls_have_several_writers() {
+        // The in-job Arbiter mediates frequency, uncore and duty-cycle
+        // writers; RAPL takes the minimum of concurrent cap requests.
+        const ARBITRATED: [&str; 4] = ["core-freq", "duty-cycle", "rapl-cap", "uncore-freq"];
+        let mut knobs = knob_registry();
+        let mut mapped: Vec<&str> = knobs.iter().filter_map(control_resource).collect();
+        mapped.sort_unstable();
+        mapped.dedup();
+        assert_eq!(
+            mapped,
+            [
+                "core-freq",
+                "duty-cycle",
+                "node-assignment",
+                "rapl-cap",
+                "uncore-freq"
+            ]
+        );
+        assert_eq!(shared_controls(&knobs), ARBITRATED);
+        // A second, unarbitrated writer of node assignment is the hazard.
+        knobs.push(Knob {
+            layer: Layer::JobRuntime,
+            name: "rogue node picker",
+            method: "pick nodes",
+            actor: Actor::RuntimeSystem,
+            temporal: Temporal::Runtime,
+            implemented_by: "pstack_runtime::irm::Picker",
+        });
+        assert_ne!(shared_controls(&knobs), ARBITRATED);
     }
 
     #[test]

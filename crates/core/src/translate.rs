@@ -191,6 +191,51 @@ mod tests {
         assert!((node_budget.watts * 4.0 - job_budget.watts).abs() < 1e-9);
     }
 
+    /// PSA009: a reserve fraction in `[0, 0.5)`, a system-to-jobs split
+    /// that hands out exactly the usable budget (nothing created, nothing
+    /// stranded), and advisory frequencies that never fall as the node
+    /// budget grows.
+    fn translator_problems(t: &ObjectiveTranslator) -> Vec<String> {
+        let reserve = t.system_reserve_fraction;
+        if !(0.0..0.5).contains(&reserve) {
+            return vec![format!("reserve fraction {reserve} outside [0, 0.5)")];
+        }
+        let mut out = Vec::new();
+        let jobs = [3, 1].map(|nodes| JobShare {
+            nodes,
+            efficiency: None,
+        });
+        let granted: f64 = t
+            .system_to_jobs(budget(10_000.0), &jobs)
+            .iter()
+            .map(|b| b.watts)
+            .sum();
+        if (granted - 10_000.0 * (1.0 - reserve)).abs() > 1e-6 {
+            out.push(format!("{granted} W granted from a {reserve} reserve"));
+        }
+        let mix = PhaseMix::pure(PhaseKind::ComputeBound);
+        let node = pstack_hwmodel::NodeConfig::server_default();
+        let (cores, packages) = (node.package.n_cores, node.n_packages);
+        let freqs = [150.0, 200.0, 250.0, 300.0, 400.0, 500.0]
+            .map(|w| t.node_budget_to_freq(w, &mix, cores, packages, node.misc_power_w));
+        if freqs.windows(2).any(|w| w[1] < w[0]) {
+            out.push(format!(
+                "advisory frequency falls as the budget grows: {freqs:?}"
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_translator_conserves_watts_and_is_monotone() {
+        let mut t = ObjectiveTranslator::default();
+        assert_eq!(translator_problems(&t), Vec::<String>::new());
+        for absurd in [0.9, -0.1] {
+            t.system_reserve_fraction = absurd;
+            assert!(translator_problems(&t)[0].contains("reserve"));
+        }
+    }
+
     #[test]
     fn freq_bound_monotone_in_budget() {
         let t = ObjectiveTranslator::default();

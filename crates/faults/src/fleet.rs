@@ -31,14 +31,10 @@
 use crate::dice::FaultDice;
 use crate::supervise::{RecoveryEvent, RecoveryLog, SupervisorConfig};
 use pstack_ckpt::{fnv1a64, read_wal, write_snapshot, CkptError, SessionDir, WalWriter};
-use pstack_diag::Diagnostic;
 use pstack_rm::scheduler::EmergencyResponse;
 use pstack_rm::EnclaveSet;
 use pstack_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize, Value};
-
-/// Layer tag used by fleet-fault diagnostics (PSA021).
-pub const FLEET_LAYER: &str = "faults.fleet";
 
 /// MTBF-style node crash/reboot schedule parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -101,8 +97,8 @@ impl ActuatorFaults {
 pub struct JobFaults {
     /// Probability a given job is scheduled to fail once.
     pub fail_prob: f64,
-    /// Retry budget the schedulers must be configured with (PSA021 checks
-    /// it is ≥ 1 whenever `fail_prob > 0`).
+    /// Retry budget the schedulers must be configured with
+    /// ([`FleetFaultPlan::check`] requires ≥ 1 whenever `fail_prob > 0`).
     pub max_retries: u32,
 }
 
@@ -244,16 +240,14 @@ impl FleetFaultPlan {
         [n, o, a, j, d].iter().filter(|&&x| x).count()
     }
 
-    /// Static sanity checks — the analyzer's PSA021 substance: every
-    /// probability in `[0, 1]`, MTBF/MTTR/stick/window durations positive
-    /// when their class is active, a positive retry budget whenever job
-    /// failures are on (an exhausted-at-zero retry budget turns every
-    /// injected failure into a permanent loss), nonempty name.
-    pub fn check(&self, rule: &str, path: &str) -> Vec<Diagnostic> {
+    /// Static sanity checks: every probability in `[0, 1]`,
+    /// MTBF/MTTR/stick/window durations positive when their class is
+    /// active, a positive retry budget whenever job failures are on (an
+    /// exhausted-at-zero retry budget turns every injected failure into a
+    /// permanent loss), nonempty name. Returns one message per violation.
+    pub fn check(&self) -> Vec<String> {
         let mut out = Vec::new();
-        let mut err = |msg: String| {
-            out.push(Diagnostic::error(rule, FLEET_LAYER, path, msg));
-        };
+        let mut err = |msg: String| out.push(msg);
         if self.name.trim().is_empty() {
             err("fleet fault plan has an empty name".to_string());
         }
@@ -891,11 +885,16 @@ mod tests {
         assert_eq!(names.len(), catalog.len(), "duplicate plan names");
         for plan in &catalog {
             assert!(
-                plan.check("T", &plan.name).is_empty(),
-                "plan {} fails its own sanity checks",
-                plan.name
+                plan.check().is_empty(),
+                "plan {} fails its own sanity checks: {:?}",
+                plan.name,
+                plan.check()
             );
         }
+        // The chaos grid needs a fault-free control arm to attribute SLO
+        // regressions to faults, and a mixed arm for fault interactions.
+        assert!(catalog.iter().any(|p| p.active_classes() == 0));
+        assert!(catalog.iter().any(|p| p.active_classes() >= 4));
         assert_eq!(FleetFaultPlan::none().active_classes(), 0);
         assert_eq!(FleetFaultPlan::node_mtbf_only().active_classes(), 1);
         assert_eq!(FleetFaultPlan::mixed().active_classes(), 5);
@@ -906,13 +905,13 @@ mod tests {
         let mut p = FleetFaultPlan::none();
         p.jobs.fail_prob = 0.2;
         p.jobs.max_retries = 0;
-        assert!(!p.check("T", "x").is_empty(), "zero retry budget");
+        assert!(!p.check().is_empty(), "zero retry budget");
 
         let mut p = FleetFaultPlan::none();
         p.nodes.mtbf_hours = 5.0;
         p.nodes.max_failures_per_node = 1;
         p.nodes.mttr_minutes = 0.0;
-        assert!(!p.check("T", "x").is_empty(), "zero MTTR");
+        assert!(!p.check().is_empty(), "zero MTTR");
 
         let mut p = FleetFaultPlan::none();
         p.outages.push(EnclaveOutage {
@@ -920,15 +919,15 @@ mod tests {
             at_s: 10.0,
             duration_s: 0.0,
         });
-        assert!(!p.check("T", "x").is_empty(), "zero outage duration");
+        assert!(!p.check().is_empty(), "zero outage duration");
 
         let mut p = FleetFaultPlan::none();
         p.dropouts.drop_prob = 1.5;
-        assert!(!p.check("T", "x").is_empty(), "probability out of range");
+        assert!(!p.check().is_empty(), "probability out of range");
 
         let mut p = FleetFaultPlan::none();
         p.name = String::new();
-        assert!(!p.check("T", "x").is_empty(), "empty name");
+        assert!(!p.check().is_empty(), "empty name");
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! through the resilient tuning loop — byte-identical serialized reports on
 //! any worker count. The chaos suite (`tests/chaos_tuning.rs`) asserts this.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod dice;
 pub mod evaluator;
@@ -48,12 +48,11 @@ pub use evaluator::FaultyEvaluator;
 pub use fleet::{
     fleet_fingerprint, ActuatorFaults, DropoutFaults, EnclaveOutage, FleetCheckpoint,
     FleetFaultPlan, FleetInjector, FleetSuperviseError, FleetSupervisedRun, FleetSupervisor,
-    JobFaults, NodeFaults, FLEET_LAYER,
+    JobFaults, NodeFaults,
 };
 pub use inject::{CrashyAgent, FaultInjector, KnobWrite};
 pub use plan::{
     AgentFaults, EmergencyFault, EvalFaults, FaultPlan, KnobFaults, ProcessFaults, TelemetryFaults,
-    LAYER,
 };
 pub use scenario::{run_faulted_job, FaultedJobOutcome, MAX_SIM_S};
 pub use supervise::{

@@ -6,14 +6,9 @@
 //! [`default_rates`](FaultPlan::default_rates) preset documents the rates
 //! every fig/uc scenario must survive; the single-fault presets isolate one
 //! class each for the ≥90 %-recovery acceptance runs. Plans are plain data:
-//! serializable, comparable, and statically checkable ([`FaultPlan::check`]
-//! feeds the analyzer's PSA012 rule).
+//! serializable, comparable, and statically checkable ([`FaultPlan::check`]).
 
-use pstack_diag::Diagnostic;
 use serde::{Deserialize, Serialize};
-
-/// Layer tag used by fault-plan diagnostics.
-pub const LAYER: &str = "faults";
 
 /// Telemetry corruption: noisy, spiking, and dropped power samples.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -348,14 +343,12 @@ impl FaultPlan {
         [t, k, a, e, v, p].iter().filter(|&&x| x).count()
     }
 
-    /// Static sanity checks (the analyzer's PSA012 substance): every
-    /// probability in `[0, 1]`, factors on the meaningful side of 1, lags
-    /// and restart windows positive, emergencies inside `(0, 1]` of budget.
-    pub fn check(&self, rule: &str, path: &str) -> Vec<Diagnostic> {
+    /// Static sanity checks: every probability in `[0, 1]`, factors on the
+    /// meaningful side of 1, lags and restart windows positive, emergencies
+    /// inside `(0, 1]` of budget. Returns one message per violation.
+    pub fn check(&self) -> Vec<String> {
         let mut out = Vec::new();
-        let mut err = |msg: String| {
-            out.push(Diagnostic::error(rule, LAYER, path, msg));
-        };
+        let mut err = |msg: String| out.push(msg);
         if self.name.trim().is_empty() {
             err("fault plan has an empty name".to_string());
         }
@@ -441,11 +434,31 @@ mod tests {
         assert_eq!(names.len(), catalog.len(), "duplicate plan names");
         for plan in &catalog {
             assert!(
-                plan.check("T", &plan.name).is_empty(),
-                "plan {} fails its own sanity checks",
-                plan.name
+                plan.check().is_empty(),
+                "plan {} fails its own sanity checks: {:?}",
+                plan.name,
+                plan.check()
             );
         }
+    }
+
+    /// Worst-case stall per configuration under the resilient loop's retry
+    /// policy: every attempt times out, plus the summed backoff.
+    fn worst_stall_s(retry: &pstack_autotune::RetryPolicy, plan: &FaultPlan) -> f64 {
+        let backoff: f64 = retry.schedule().iter().sum();
+        retry.max_attempts as f64 * plan.evals.timeout_s + backoff
+    }
+
+    #[test]
+    fn default_retry_policy_stalls_under_an_hour_per_config() {
+        let retry = pstack_autotune::RetryPolicy::default();
+        for plan in FaultPlan::catalog() {
+            let stall = worst_stall_s(&retry, &plan);
+            assert!(stall <= 3600.0, "plan {} stalls {stall} s", plan.name);
+        }
+        let mut slow = FaultPlan::evals_only();
+        slow.evals.timeout_s = 7200.0;
+        assert!(worst_stall_s(&retry, &slow) > 3600.0);
     }
 
     #[test]
@@ -465,17 +478,17 @@ mod tests {
     fn broken_plans_are_flagged() {
         let mut p = FaultPlan::none();
         p.telemetry.drop_prob = 1.5;
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
 
         let mut p = FaultPlan::none();
         p.telemetry.spike_prob = 0.1;
         p.telemetry.spike_factor = 0.5;
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
 
         let mut p = FaultPlan::none();
         p.knobs.lag_prob = 0.1;
         p.knobs.lag_steps = 0;
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
 
         let mut p = FaultPlan::none();
         p.emergency = Some(EmergencyFault {
@@ -483,16 +496,16 @@ mod tests {
             budget_factor: 0.0,
             duration_s: 5.0,
         });
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
 
         let mut p = FaultPlan::none();
         p.name = String::new();
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
 
         let mut p = FaultPlan::none();
         p.process.kill_prob = 0.5;
         p.process.max_kills = 0;
-        assert!(!p.check("T", "x").is_empty());
+        assert!(!p.check().is_empty());
     }
 
     #[test]

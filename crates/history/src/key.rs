@@ -204,6 +204,51 @@ mod tests {
         assert_ne!(key.canonical(), other.canonical());
     }
 
+    /// PSA019 over `(app, objective, shape)` key declarations: non-empty
+    /// labels and space, a canonical fingerprint (16 lowercase hex digits,
+    /// reorder-invariant), and no two declarations on one key — their
+    /// records would silently mix.
+    fn key_problems(decls: &[(&str, &str, SpaceShape)]) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for (app, objective, shape) in decls {
+            let fp = shape.fingerprint();
+            if app.is_empty() || objective.is_empty() || shape.params.is_empty() {
+                out.push(format!("'{app}'/'{objective}': empty label or space"));
+            }
+            if fp.len() != 16 || !fp.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+                out.push(format!("fingerprint '{fp}' is not 16 lowercase hex digits"));
+            }
+            let mut reordered = shape.clone();
+            reordered.params.reverse();
+            reordered.constraints.reverse();
+            if reordered.fingerprint() != fp {
+                out.push(format!("fingerprint '{fp}' changes under reordering"));
+            }
+            if !seen.insert(HistoryKey::new(fp, *app, *objective)) {
+                out.push(format!(
+                    "'{app}'/'{objective}' collides with an earlier key"
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn campaign_keys_are_canonical_and_distinct() {
+        let mut reordered = shape();
+        reordered.params.reverse();
+        let mut decls = vec![
+            ("hypre", "min-edp", shape()),
+            ("kernel", "min-edp", shape()),
+            ("hypre", "min-time", shape()),
+        ];
+        assert_eq!(key_problems(&decls), Vec::<String>::new());
+        decls.push(("hypre", "min-edp", reordered));
+        decls.push(("", "min-edp", SpaceShape::default()));
+        assert_eq!(key_problems(&decls).len(), 2, "{:?}", key_problems(&decls));
+    }
+
     #[test]
     fn config_fingerprint_distinguishes_order_and_value() {
         assert_eq!(config_fingerprint(&[1, 2]), config_fingerprint(&[1, 2]));

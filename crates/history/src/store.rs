@@ -233,8 +233,7 @@ impl HistoryStore {
     /// Shard count used when creating a store without an explicit choice.
     pub const DEFAULT_SHARDS: usize = 8;
 
-    /// Upper bound on the shard count (PSA019 checks the shipped model
-    /// stays within it).
+    /// Upper bound on the shard count.
     pub const MAX_SHARDS: usize = 64;
 
     /// Open (or create) the store at `root`. An existing store keeps the
@@ -257,10 +256,7 @@ impl HistoryStore {
         if let Some(n) = requested {
             if n == 0 || n > Self::MAX_SHARDS {
                 return Err(HistoryError::Invalid {
-                    detail: format!(
-                        "shard count {n} outside 1..={} (see PSA019)",
-                        Self::MAX_SHARDS
-                    ),
+                    detail: format!("shard count {n} outside 1..={}", Self::MAX_SHARDS),
                 });
             }
         }

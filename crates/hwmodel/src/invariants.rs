@@ -1,21 +1,13 @@
 //! Node-hardware invariants: the physical feasibility envelope.
 //!
-//! The analyzer's knob-bound and power-model rules are grounded here, where
-//! the hardware knowledge lives: what frequency range is physically
-//! plausible, what a node can draw between idle and peak, and which shapes a
-//! power model must have (monotone `P(f)`, non-negative leakage). The
-//! parameterized `check_*` functions are public so `pstack-analyze` fixtures
-//! can feed deliberately-broken inputs; [`invariants`] packages them over
-//! the shipped server defaults.
+//! What frequency range is physically plausible and what a node can draw
+//! between idle and peak. Fault injection clamps telemetry to the
+//! envelope; this module's tests hold the shipped hardware description to
+//! it (ladders inside the band, monotone `P(f)`, non-negative leakage).
 
 use crate::node::NodeConfig;
 use crate::phase::{PhaseKind, PhaseMix};
-use crate::power::PowerModel;
-use crate::pstate::{DutyCycle, FreqLadder, PStateTable};
-use pstack_diag::{Diagnostic, InvariantCheck};
-
-/// Layer tag used by all hwmodel diagnostics.
-pub const LAYER: &str = "node";
+use crate::pstate::DutyCycle;
 
 /// Physically plausible core/uncore frequency range, GHz. Anything a ladder
 /// offers outside this band is a configuration bug, not a real P-state.
@@ -54,212 +46,80 @@ pub fn power_envelope(cfg: &NodeConfig) -> PowerEnvelope {
     }
 }
 
-/// Check a frequency ladder against the physical envelope.
-pub fn check_freq_ladder(rule: &str, ladder: &FreqLadder, path: &str) -> Vec<Diagnostic> {
-    let (lo, hi) = FREQ_ENVELOPE_GHZ;
-    let mut out = Vec::new();
-    for &f in ladder.freqs() {
-        if !(lo..=hi).contains(&f) {
-            out.push(Diagnostic::error(
-                rule,
-                LAYER,
-                path,
-                format!("ladder rung {f} GHz outside the physical envelope [{lo}, {hi}] GHz"),
-            ));
-        }
-    }
-    out
-}
-
-/// Check a P-state table: ladder inside the envelope and a sane V-f range.
-pub fn check_pstate_table(rule: &str, ps: &PStateTable, path: &str) -> Vec<Diagnostic> {
-    let mut out = check_freq_ladder(rule, ps.ladder(), path);
-    let (v_bottom, v_top) = (ps.voltage(0), ps.voltage(ps.top_idx()));
-    if !(0.4..=1.6).contains(&v_bottom) || !(0.4..=1.6).contains(&v_top) {
-        out.push(Diagnostic::error(
-            rule,
-            LAYER,
-            path,
-            format!("V-f curve endpoints ({v_bottom} V, {v_top} V) outside plausible 0.4–1.6 V"),
-        ));
-    }
-    out
-}
-
-/// Check a power model against a P-state table: `P(f)` must be monotone
-/// non-decreasing at a fixed phase mix, leakage must be non-negative over
-/// the operating temperature range, and all coefficients non-negative.
-pub fn check_power_model(
-    rule: &str,
-    pm: &PowerModel,
-    ps: &PStateTable,
-    path: &str,
-) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mix = PhaseMix::pure(PhaseKind::ComputeBound);
-    let mut prev = f64::NEG_INFINITY;
-    for idx in 0..ps.len() {
-        let p = pm.core_dynamic_w(ps, idx, DutyCycle::FULL, 24, &mix);
-        if p < prev - 1e-9 {
-            out.push(Diagnostic::error(
-                rule,
-                LAYER,
-                path,
-                format!(
-                    "P(f) not monotone: core power drops to {p:.2} W at rung {idx} ({} GHz)",
-                    ps.freq(idx)
-                ),
-            ));
-            break;
-        }
-        prev = p;
-    }
-    for t_c in [-20.0, 25.0, 50.0, 85.0, 110.0] {
-        let leak = pm.leakage_w(t_c);
-        if leak < 0.0 || !leak.is_finite() {
-            out.push(Diagnostic::error(
-                rule,
-                LAYER,
-                path,
-                format!("leakage {leak} W at {t_c} °C must be finite and non-negative"),
-            ));
-        }
-    }
-    if pm.c_dyn <= 0.0 {
-        out.push(Diagnostic::error(
-            rule,
-            LAYER,
-            path,
-            format!(
-                "dynamic-power coefficient c_dyn = {} must be positive",
-                pm.c_dyn
-            ),
-        ));
-    }
-    if pm.uncore_w_per_ghz < 0.0 || pm.dram_idle_w < 0.0 || pm.dram_w_per_intensity < 0.0 {
-        out.push(Diagnostic::error(
-            rule,
-            LAYER,
-            path,
-            "uncore/DRAM power coefficients must be non-negative".to_string(),
-        ));
-    }
-    out
-}
-
-/// Check that a power cap sits inside the node's feasibility envelope:
-/// above the idle floor (a lower cap can never be honoured) and at or below
-/// peak ("cap ≤ TDP" — a higher cap never binds and usually encodes a unit
-/// mistake).
-pub fn check_cap_in_envelope(
-    rule: &str,
-    cap_w: f64,
-    cfg: &NodeConfig,
-    path: &str,
-) -> Vec<Diagnostic> {
-    let env = power_envelope(cfg);
-    let mut out = Vec::new();
-    if cap_w < env.idle_w {
-        out.push(Diagnostic::error(
-            rule,
-            LAYER,
-            path,
-            format!(
-                "cap {cap_w} W is below the idle floor {:.0} W and can never be honoured",
-                env.idle_w
-            ),
-        ));
-    } else if cap_w > env.peak_w {
-        out.push(Diagnostic::error(
-            rule,
-            LAYER,
-            path,
-            format!(
-                "cap {cap_w} W exceeds node peak {:.0} W (cap ≤ TDP); likely a unit mistake",
-                env.peak_w
-            ),
-        ));
-    }
-    out
-}
-
-/// The hwmodel layer's invariant contributions, over the shipped defaults.
-pub fn invariants() -> Vec<InvariantCheck> {
-    vec![
-        InvariantCheck::new(
-            "INV-HW-001",
-            LAYER,
-            "pstack_hwmodel::PStateTable::server_default",
-            "core P-state ladder lies inside the physical frequency/voltage envelope",
-            || {
-                check_pstate_table(
-                    "INV-HW-001",
-                    &PStateTable::server_default(),
-                    "pstack_hwmodel::PStateTable::server_default",
-                )
-            },
-        ),
-        InvariantCheck::new(
-            "INV-HW-002",
-            LAYER,
-            "pstack_hwmodel::NodeConfig::server_default.uncore",
-            "uncore ladder lies inside the physical frequency envelope",
-            || {
-                check_freq_ladder(
-                    "INV-HW-002",
-                    &NodeConfig::server_default().package.uncore,
-                    "pstack_hwmodel::NodeConfig::server_default.uncore",
-                )
-            },
-        ),
-        InvariantCheck::new(
-            "INV-HW-003",
-            LAYER,
-            "pstack_hwmodel::PowerModel::server_default",
-            "package power is monotone in frequency with non-negative leakage",
-            || {
-                check_power_model(
-                    "INV-HW-003",
-                    &PowerModel::server_default(),
-                    &PStateTable::server_default(),
-                    "pstack_hwmodel::PowerModel::server_default",
-                )
-            },
-        ),
-        InvariantCheck::new(
-            "INV-HW-004",
-            LAYER,
-            "pstack_hwmodel::NodeConfig::server_default",
-            "node envelope is well-ordered: 0 < idle < peak",
-            || {
-                let env = power_envelope(&NodeConfig::server_default());
-                if env.idle_w > 0.0 && env.idle_w < env.peak_w {
-                    Vec::new()
-                } else {
-                    vec![Diagnostic::error(
-                        "INV-HW-004",
-                        LAYER,
-                        "pstack_hwmodel::NodeConfig::server_default",
-                        format!(
-                            "degenerate envelope: idle {:.0} W vs peak {:.0} W",
-                            env.idle_w, env.peak_w
-                        ),
-                    )]
-                }
-            },
-        ),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::power::PowerModel;
+    use crate::pstate::{FreqLadder, PStateTable};
+
+    fn ladder_problems(ladder: &FreqLadder) -> Vec<String> {
+        let (lo, hi) = FREQ_ENVELOPE_GHZ;
+        let outside = ladder.freqs().iter().filter(|f| !(lo..=hi).contains(*f));
+        outside
+            .map(|f| format!("rung {f} GHz outside [{lo}, {hi}] GHz"))
+            .collect()
+    }
+
+    /// `P(f)` monotone non-decreasing at a fixed phase mix, leakage finite
+    /// and non-negative over the operating range, coefficients signed right.
+    fn power_model_problems(pm: &PowerModel, ps: &PStateTable) -> Vec<String> {
+        let mut out = Vec::new();
+        let mix = PhaseMix::pure(PhaseKind::ComputeBound);
+        let p = |idx| pm.core_dynamic_w(ps, idx, DutyCycle::FULL, 24, &mix);
+        if let Some(idx) = (1..ps.len()).find(|&i| p(i) < p(i - 1) - 1e-9) {
+            out.push(format!(
+                "P(f) not monotone at rung {idx} ({} GHz)",
+                ps.freq(idx)
+            ));
+        }
+        for t_c in [-20.0, 25.0, 50.0, 85.0, 110.0] {
+            let leak = pm.leakage_w(t_c);
+            if !(leak.is_finite() && leak >= 0.0) {
+                out.push(format!("leakage {leak} W at {t_c} °C"));
+            }
+        }
+        if pm.c_dyn <= 0.0 {
+            out.push(format!("c_dyn = {} must be positive", pm.c_dyn));
+        }
+        if pm.uncore_w_per_ghz < 0.0 || pm.dram_idle_w < 0.0 || pm.dram_w_per_intensity < 0.0 {
+            out.push("uncore/DRAM power coefficients must be non-negative".to_string());
+        }
+        out
+    }
+
+    /// PSA005 and INV-HW-001..004 over one node description: both ladders
+    /// inside the envelope, a plausible V-f range, a sane power model, and
+    /// a well-ordered `0 < idle < peak` envelope.
+    fn node_problems(cfg: &NodeConfig) -> Vec<String> {
+        let pkg = &cfg.package;
+        let mut out = ladder_problems(pkg.pstates.ladder());
+        out.extend(ladder_problems(&pkg.uncore));
+        let (v_lo, v_hi) = (
+            pkg.pstates.voltage(0),
+            pkg.pstates.voltage(pkg.pstates.top_idx()),
+        );
+        if !(0.4..=1.6).contains(&v_lo) || !(0.4..=1.6).contains(&v_hi) {
+            out.push(format!(
+                "V-f endpoints ({v_lo} V, {v_hi} V) outside 0.4–1.6 V"
+            ));
+        }
+        out.extend(power_model_problems(&pkg.power, &pkg.pstates));
+        let env = power_envelope(cfg);
+        if !(env.idle_w > 0.0 && env.idle_w < env.peak_w) {
+            out.push(format!(
+                "envelope not ordered: idle {} W, peak {} W",
+                env.idle_w, env.peak_w
+            ));
+        }
+        out
+    }
 
     #[test]
     fn shipped_defaults_hold() {
-        for inv in invariants() {
-            assert!(inv.run().is_empty(), "{} violated: {:?}", inv.id, inv.run());
-        }
+        let cfg = NodeConfig::server_default();
+        assert_eq!(cfg.package.pstates, PStateTable::server_default());
+        assert_eq!(cfg.package.power, PowerModel::server_default());
+        assert_eq!(node_problems(&cfg), Vec::<String>::new());
     }
 
     #[test]
@@ -270,30 +130,16 @@ mod tests {
     }
 
     #[test]
-    fn broken_power_model_is_flagged() {
-        let mut pm = PowerModel::server_default();
-        pm.c_dyn = -1.0;
-        let ds = check_power_model("X", &pm, &PStateTable::server_default(), "p");
-        assert!(!ds.is_empty());
-        assert!(ds
-            .iter()
-            .any(|d| d.message.contains("monotone") || d.message.contains("c_dyn")));
-    }
-
-    #[test]
-    fn out_of_envelope_cap_is_flagged() {
-        let cfg = NodeConfig::server_default();
-        assert!(!check_cap_in_envelope("X", 50.0, &cfg, "p").is_empty());
-        assert!(!check_cap_in_envelope("X", 250_000.0, &cfg, "p").is_empty());
-        assert!(check_cap_in_envelope("X", 300.0, &cfg, "p").is_empty());
-    }
-
-    #[test]
-    fn negative_coefficients_are_flagged() {
+    fn broken_power_models_are_flagged() {
+        let mut cfg = NodeConfig::server_default();
+        cfg.package.power.c_dyn = -1.0;
+        assert!(node_problems(&cfg).iter().any(|m| m.contains("c_dyn")));
         // leakage_w clamps non-negative, so the coefficient checks are the
         // definitive signal for sign mistakes.
-        let mut pm = PowerModel::server_default();
-        pm.uncore_w_per_ghz = -1.0;
-        assert!(!check_power_model("X", &pm, &PStateTable::server_default(), "p").is_empty());
+        let mut cfg = NodeConfig::server_default();
+        cfg.package.power.uncore_w_per_ghz = -2.0;
+        assert!(node_problems(&cfg)
+            .iter()
+            .any(|m| m.contains("uncore/DRAM")));
     }
 }

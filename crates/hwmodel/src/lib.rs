@@ -25,7 +25,7 @@
 //! memory-bound phases gain little from core frequency; communication slack
 //! gains nothing; capping power costs performance only once it binds.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod batch;
 pub mod cap;
@@ -40,7 +40,7 @@ pub mod variation;
 
 pub use batch::{Bitset, NodeBatch, PackageBatch};
 pub use cap::{PowerCap, RaplWindow};
-pub use invariants::{invariants, power_envelope, PowerEnvelope};
+pub use invariants::{power_envelope, PowerEnvelope};
 pub use node::{Node, NodeConfig, NodeId, StepOutput};
 pub use package::{Package, PackageConfig};
 pub use phase::{PhaseKind, PhaseMix, SpeedModel};

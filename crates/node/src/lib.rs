@@ -11,14 +11,12 @@
 //! - [`cursor`]: [`WorkloadCursor`] — a per-node cursor over an application's
 //!   phase sequence, the execution primitive job runtimes drive.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod cursor;
-pub mod invariants;
 pub mod manager;
 pub mod signals;
 
 pub use cursor::WorkloadCursor;
-pub use invariants::invariants;
 pub use manager::{NodeManager, NodeStepReport};
 pub use signals::Signal;

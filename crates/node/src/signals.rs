@@ -79,6 +79,22 @@ mod tests {
         }
     }
 
+    /// INV-ND-001: unit strings the stack's vocabulary understands. Power
+    /// is always watts (never mW) and energy always joules.
+    fn unknown_units<'a>(units: impl IntoIterator<Item = &'a str>) -> Vec<&'a str> {
+        const KNOWN: [&str; 8] = ["W", "J", "GHz", "degC", "count", "bytes", "us", "work"];
+        units.into_iter().filter(|u| !KNOWN.contains(u)).collect()
+    }
+
+    #[test]
+    fn signal_units_come_from_the_known_set() {
+        assert_eq!(
+            unknown_units(Signal::ALL.map(Signal::unit)),
+            Vec::<&str>::new()
+        );
+        assert_eq!(unknown_units(["W", "mW"]), ["mW"]);
+    }
+
     #[test]
     fn catalog_is_exhaustive() {
         assert_eq!(Signal::ALL.len(), 12);

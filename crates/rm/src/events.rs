@@ -30,9 +30,9 @@
 //! `pstack-ckpt` and resume (see the kill-at-decile test in
 //! `tests/event_equivalence.rs`).
 //!
-//! `pstack-analyze`'s PSA020 lints a sample pop sequence from this heap (no
-//! event regression past the cursor) together with the enclave budget-shard
-//! arithmetic of [`crate::fleet`].
+//! The tests drive this heap through an adversarial push/pop sequence and
+//! check that the cursor never regresses, same-instant events pop in rank
+//! order, and no event is lost.
 
 use crate::scheduler::EmergencyResponse;
 use crate::spec::JobId;
@@ -110,7 +110,7 @@ impl EventKind {
         }
     }
 
-    /// Stable label for diagnostics and the PSA020 model.
+    /// Stable label for diagnostics.
     pub fn label(&self) -> &'static str {
         match self {
             EventKind::BudgetChange { .. } => "budget_change",
@@ -173,8 +173,7 @@ impl Ord for HeapEntry {
 /// Unlike `pstack_sim::EventQueue`, pushing an event at a past timestamp is
 /// allowed (a job may be submitted with a retroactive arrival time); it
 /// simply fires at the next [`EventHeap::pop_due`]. The *cursor* — the
-/// largest fire time processed so far — never moves backwards, which is the
-/// invariant PSA020 checks.
+/// largest fire time processed so far — never moves backwards.
 #[derive(Debug, Clone, Default)]
 pub struct EventHeap {
     entries: BinaryHeap<HeapEntry>,
@@ -441,6 +440,108 @@ mod tests {
             .map(|e| e.kind.label())
             .collect();
         assert_eq!(order, ["completion", "budget_change", "arrival", "tick"]);
+    }
+
+    /// One pop of a recorded drain: (fire time, cursor after the pop, rank).
+    type Pop = (SimTime, SimTime, u32);
+
+    /// Push out-of-order events, a same-instant cluster of all nine kinds
+    /// in reverse rank order, and a retroactive push mid-drain; return the
+    /// pops, the number of events pushed, and the heap after the drain.
+    fn adversarial_drain() -> (Vec<Pop>, usize, EventHeap) {
+        let mut h = EventHeap::new();
+        let cluster = [
+            EventKind::Completion(JobId(7)),
+            EventKind::Tick,
+            EventKind::Arrival(JobId(3)),
+            EventKind::TelemetryDropout { until: t(100) },
+            EventKind::CapStick {
+                node: 2,
+                until: t(100),
+            },
+            EventKind::JobFail(JobId(5)),
+            EventKind::NodeRecover { node: 1 },
+            EventKind::NodeFail { node: 1 },
+            EventKind::BudgetChange {
+                budget_w: Some(1000.0),
+                response: EmergencyResponse::TightenCaps,
+            },
+        ];
+        let mut pushed = cluster.len() + 3;
+        for kind in cluster {
+            h.push(t(40), kind);
+        }
+        h.push(t(10), EventKind::Arrival(JobId(1)));
+        h.push(t(90), EventKind::Tick);
+        h.push(t(5), EventKind::Arrival(JobId(0)));
+        let mut pops = Vec::new();
+        let mut retro = Some(EventKind::Arrival(JobId(9)));
+        while let Some(ev) = h.pop_due(t(3600)) {
+            pops.push((ev.time, h.cursor(), ev.kind.rank()));
+            if let Some(kind) = retro.take_if(|_| ev.time == t(40)) {
+                h.push(t(20), kind);
+                pushed += 1;
+            }
+        }
+        h.push(t(7200), EventKind::Tick); // past the horizon: stays pending
+        (pops, pushed + 1, h)
+    }
+
+    /// PSA020: the cursor tracks `max(previous cursor, fire time)` and so
+    /// never regresses, same-instant pops come in rank order, and every
+    /// pushed event was popped or is still pending.
+    fn schedule_problems(pops: &[Pop], pushed: usize, heap: &EventHeap) -> Vec<String> {
+        let mut out = Vec::new();
+        let mut prev = SimTime::ZERO;
+        for (i, &(time, cursor, _)) in pops.iter().enumerate() {
+            if cursor != prev.max(time) {
+                out.push(format!(
+                    "pop {i}: cursor {cursor:?} after {prev:?} at {time:?}"
+                ));
+            }
+            prev = cursor;
+        }
+        for (i, w) in pops.windows(2).enumerate() {
+            if w[0].0 == w[1].0 && w[0].2 > w[1].2 {
+                out.push(format!(
+                    "pop {}: same-instant events out of rank order",
+                    i + 1
+                ));
+            }
+        }
+        if heap.popped() != pops.len() as u64 || pops.len() + heap.len() != pushed {
+            out.push(format!(
+                "{pushed} pushed, {} popped, {} pending",
+                pops.len(),
+                heap.len()
+            ));
+        }
+        out
+    }
+
+    #[test]
+    fn adversarial_drain_keeps_the_schedule_contract() {
+        let (pops, pushed, heap) = adversarial_drain();
+        assert_eq!(
+            schedule_problems(&pops, pushed, &heap),
+            Vec::<String>::new()
+        );
+        // The exercise covers a retroactive pop behind the cursor and the
+        // full nine-kind cluster.
+        assert!(pops.iter().any(|&(time, cursor, _)| time < cursor));
+        assert_eq!(pops.iter().filter(|p| p.0 == t(40)).count(), 9);
+
+        let mut regressed = pops.clone();
+        regressed.last_mut().expect("pops").1 = SimTime::ZERO;
+        assert!(!schedule_problems(&regressed, pushed, &heap).is_empty());
+        let mut reordered = pops.clone();
+        let i = pops
+            .windows(2)
+            .position(|w| w[0].0 == w[1].0)
+            .expect("cluster");
+        (reordered[i].2, reordered[i + 1].2) = (pops[i + 1].2, pops[i].2);
+        assert!(schedule_problems(&reordered, pushed, &heap)[0].contains("rank order"));
+        assert!(!schedule_problems(&pops, pushed + 1, &heap).is_empty());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!
 //! - **budget sharding** ([`shard_budgets`]): a site budget divides across
 //!   enclaves in proportion to node capacity, with the last shard absorbing
-//!   the floating-point residue so the shards sum to the site budget exactly
-//!   (PSA020 checks this invariant);
+//!   the floating-point residue so the shards sum to the site budget
+//!   exactly;
 //! - **event-driven drains**: each enclave drains with its own event heap,
 //!   so an idle enclave costs *nothing* per event — its drain returns
 //!   without a single tick;
@@ -65,7 +65,7 @@ impl Enclave {
 /// Capacity-proportional shards of `site_budget_w` over enclave node
 /// counts. The last *nonzero-capacity* shard absorbs the floating-point
 /// residue, so the shards sum to the site budget *exactly*
-/// (`sum == site_budget_w` bit-for-bit) — the invariant PSA020 lints. A
+/// (`sum == site_budget_w` bit-for-bit). A
 /// zero-capacity enclave (e.g. one in outage during a fleet fault plan)
 /// gets an explicit zero share and never absorbs the residue.
 pub fn shard_budgets(site_budget_w: f64, capacities: &[usize]) -> Vec<f64> {

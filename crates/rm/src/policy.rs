@@ -84,6 +84,62 @@ impl SystemPowerPolicy {
 mod tests {
     use super::*;
 
+    /// INV-RM: a policy's node estimates are ordered (0 < idle < peak), its
+    /// budget is positive and at least one idle node wide, and a per-node
+    /// cap is positive and inside the policy's own estimate band.
+    fn policy_problems(p: &SystemPowerPolicy) -> Vec<String> {
+        let mut out = Vec::new();
+        let (idle, peak) = (p.node_idle_estimate_w, p.node_peak_estimate_w);
+        if !(idle > 0.0 && idle < peak) {
+            out.push(format!(
+                "node estimates must satisfy 0 < idle < peak ({idle}, {peak})"
+            ));
+        }
+        if let Some(b) = p.system_budget_w {
+            if !(b.is_finite() && b > 0.0) {
+                out.push(format!("system budget {b} W must be finite and positive"));
+            } else if b < idle {
+                out.push(format!(
+                    "system budget {b} W is below one idle node ({idle} W)"
+                ));
+            }
+        }
+        if let PowerAssignment::PerNodeCap(w) = p.assignment {
+            if !(w.is_finite() && w >= idle && w <= peak) {
+                out.push(format!(
+                    "per-node cap {w} W outside the estimate band [{idle}, {peak}] W"
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_defaults_hold() {
+        // INV-RM-001: the baseline policy; INV-RM-002: a representative
+        // budgeted one.
+        for p in [
+            SystemPowerPolicy::unlimited(),
+            SystemPowerPolicy::budgeted(10_000.0, PowerAssignment::PerNodeCap(300.0)),
+        ] {
+            assert_eq!(policy_problems(&p), Vec::<String>::new(), "{p:?}");
+        }
+    }
+
+    #[test]
+    fn broken_policies_are_flagged() {
+        let mut p = SystemPowerPolicy::unlimited();
+        p.node_idle_estimate_w = 500.0; // above the 450 W peak estimate
+        assert!(!policy_problems(&p).is_empty());
+
+        let mut p = SystemPowerPolicy::budgeted(50.0, PowerAssignment::FairShare);
+        p.node_idle_estimate_w = 130.0;
+        assert!(policy_problems(&p)[0].contains("below one idle node"));
+
+        let p = SystemPowerPolicy::budgeted(10_000.0, PowerAssignment::PerNodeCap(40.0));
+        assert!(policy_problems(&p)[0].contains("estimate band"));
+    }
+
     #[test]
     fn unlimited_reserves_peak() {
         let p = SystemPowerPolicy::unlimited();

@@ -243,6 +243,39 @@ mod tests {
     use crate::arbiter::ArbiterMode;
     use pstack_hwmodel::{Node, NodeConfig, NodeId};
 
+    /// INV-RT-002: co-resident runtimes must claim disjoint knob kinds
+    /// (the §3.2.7 coexistence requirement). `agents` pairs a name with the
+    /// knobs the runtime claims at job start.
+    fn shared_knobs(agents: &[(&str, Vec<KnobKind>)]) -> Vec<String> {
+        let mut out = Vec::new();
+        for (i, (a, knobs_a)) in agents.iter().enumerate() {
+            for (b, knobs_b) in &agents[i + 1..] {
+                for k in knobs_a.iter().filter(|k| knobs_b.contains(k)) {
+                    out.push(format!("runtimes '{a}' and '{b}' both claim {k:?}"));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn countdown_and_meric_claim_disjoint_knobs() {
+        use crate::{Countdown, CountdownMode, Meric};
+        let pair = [
+            ("countdown", Countdown::new(CountdownMode::WaitOnly).knobs()),
+            ("meric", Meric::new().knobs()),
+        ];
+        assert_eq!(shared_knobs(&pair), Vec::<String>::new());
+        let overlap = [
+            ("a", vec![KnobKind::CoreFreq, KnobKind::Uncore]),
+            ("b", vec![KnobKind::CoreFreq]),
+        ];
+        assert_eq!(
+            shared_knobs(&overlap),
+            ["runtimes 'a' and 'b' both claim CoreFreq"]
+        );
+    }
+
     fn nodes(n: usize) -> Vec<NodeManager> {
         (0..n)
             .map(|i| NodeManager::new(Node::nominal(NodeId(i), NodeConfig::server_default())))

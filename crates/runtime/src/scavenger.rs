@@ -172,6 +172,37 @@ mod tests {
     use pstack_node::NodeManager;
     use pstack_sim::SeedTree;
 
+    /// INV-RT-001: ordered, finite, positive hysteresis thresholds and an
+    /// ordered uncore index window.
+    fn config_problems(cfg: &ScavengerConfig) -> Vec<String> {
+        let mut out = Vec::new();
+        if !(cfg.low_bw.is_finite() && cfg.high_bw.is_finite() && cfg.low_bw > 0.0) {
+            out.push(format!("thresholds must be finite and positive: {cfg:?}"));
+        }
+        if cfg.low_bw >= cfg.high_bw {
+            out.push(format!("hysteresis band inverted: {cfg:?}"));
+        }
+        if cfg.min_idx > cfg.max_idx {
+            out.push(format!("uncore window inverted: {cfg:?}"));
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_config_holds_and_inverted_one_is_flagged() {
+        assert_eq!(
+            config_problems(&ScavengerConfig::default()),
+            Vec::<String>::new()
+        );
+        let inverted = ScavengerConfig {
+            low_bw: 2.0e9,
+            high_bw: 1.0e9,
+            min_idx: 5,
+            max_idx: 2,
+        };
+        assert_eq!(config_problems(&inverted).len(), 2);
+    }
+
     fn run(profile: Profile, with_scavenger: bool) -> (JobResult, usize) {
         let app = SyntheticApp::new(profile, 30.0, 15);
         let mut nodes = vec![NodeManager::new(Node::nominal(

@@ -16,7 +16,7 @@
 //! application progress) by integrating across the intervals between discrete
 //! events, so the kernel itself only needs exact ordering and bookkeeping.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub mod engine;
 pub mod event;

@@ -7,7 +7,7 @@
 //! ring, WAL appends, and the session supervisor. None of that should rely
 //! on raw `std::sync` primitives sprinkled across crates — this crate is
 //! the single, auditable home for synchronization in library code
-//! (`pstack-analyze`'s PSA018 rejects raw primitives anywhere else).
+//! (clippy's `disallowed-types` rejects raw primitives anywhere else).
 //!
 //! Three pieces, in the spirit of loom/TSan but pure-Rust and offline:
 //!
@@ -32,14 +32,13 @@
 //!   export the observed lock-order graph (the `results/lockorder.json`
 //!   artifact).
 //!
-//! The declared lock hierarchy lives in [`sites`]; `pstack-analyze`'s
-//! PSA017 checks the `FrameworkModel`'s hierarchy table covers every site
-//! declared here and stays acyclic.
+//! The declared lock hierarchy lives in [`sites`]: every site carries its
+//! rank and the sites it may acquire while held.
 
 // This crate is the one place raw std::sync primitives are allowed in
-// library code; the clippy disallowed-methods entries that ban
-// Mutex::lock/RwLock::read/RwLock::write elsewhere are opted out here.
-#![allow(clippy::disallowed_methods)]
+// library code; the clippy disallowed-methods/disallowed-types entries
+// that ban them elsewhere are opted out here.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 pub mod chaos;
 pub mod explore;
@@ -57,6 +56,6 @@ pub use primitives::{
 pub use sites::{SiteDecl, SiteKind};
 
 // Re-exported so caller crates can name memory orderings without importing
-// from `std::sync::atomic` (which PSA018's source scan would flag when the
-// import also names a banned primitive).
+// from `std::sync::atomic` (whose counter types clippy bans outside this
+// crate).
 pub use std::sync::atomic::Ordering;

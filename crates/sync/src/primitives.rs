@@ -4,7 +4,7 @@
 //!
 //! - **Site labels.** Every instance is constructed with a static label
 //!   from [`crate::sites`]; the label is what shows up in the lock-order
-//!   graph, the hierarchy lint (PSA017), and smell reports.
+//!   graph, the declared hierarchy, and smell reports.
 //! - **Poison tolerance.** A panicked holder never cascades: `lock`,
 //!   `read`, `write`, `get_mut`, and `into_inner` all recover the inner
 //!   value via [`PoisonError::into_inner`]. The workspace's drivers treat a

@@ -1,12 +1,13 @@
 //! The canonical registry of synchronization sites.
 //!
 //! Every [`SyncMutex`](crate::SyncMutex)/atomic in workspace library code
-//! is constructed with one of these labels, and the registry is the static
-//! source of truth `pstack-analyze`'s PSA017 checks the declared lock
-//! hierarchy against: a site added here without a hierarchy row (or vice
-//! versa) fails the lint. The schedule explorer additionally asserts at
-//! runtime that every *observed* site is declared here, so the registry
-//! cannot silently drift from reality.
+//! is constructed with one of these labels, and each declaration carries
+//! its place in the lock hierarchy ([`SiteDecl::rank`],
+//! [`SiteDecl::may_acquire`]), so a site cannot be declared without one.
+//! The tests below hold the hierarchy rank-consistent (and therefore
+//! acyclic); the schedule explorer asserts at runtime that every
+//! *observed* site is declared here and every observed edge climbs in
+//! rank, so the registry cannot silently drift from reality.
 //!
 //! Memory-ordering rationale for atomic sites lives on each
 //! [`SiteDecl::ordering`] entry (and as a comment at the construction
@@ -43,6 +44,11 @@ pub struct SiteDecl {
     /// For atomics: the memory-ordering choice and why it is sufficient.
     /// For locks: what the critical section protects.
     pub ordering: &'static str,
+    /// Lock-hierarchy rank: while this site is held, only sites of
+    /// strictly greater rank may be acquired (outer locks rank lower).
+    pub rank: u32,
+    /// Sites this one may acquire while held; every other site is a leaf.
+    pub may_acquire: &'static [&'static str],
 }
 
 /// The bounded span ring inside `pstack_trace::TraceCollector` — taken once
@@ -82,6 +88,8 @@ pub fn all() -> &'static [SiteDecl] {
                        exactly one worker because fetch_add is atomic regardless of ordering; \
                        the claimed slot's *contents* are published by the scoped-thread join, \
                        not by this counter, so no acquire/release pairing is needed.",
+            rank: 10,
+            may_acquire: &[],
         },
         SiteDecl {
             label: POOL_SLOT,
@@ -90,6 +98,8 @@ pub fn all() -> &'static [SiteDecl] {
             ordering: "Protects one evaluation result. Held only for the final store; the \
                        read side uses get_mut after the scope joins, so contention is \
                        impossible by construction and poisoning is recovered.",
+            rank: 20,
+            may_acquire: &[TRACE_RING],
         },
         SiteDecl {
             label: CKPT_SCRATCH,
@@ -97,6 +107,8 @@ pub fn all() -> &'static [SiteDecl] {
             owner: "pstack-ckpt",
             ordering: "Relaxed fetch_add: a process-unique directory suffix. Uniqueness \
                        needs atomicity only; no other memory is published through it.",
+            rank: 40,
+            may_acquire: &[],
         },
         SiteDecl {
             label: FAULTS_SLOWDOWNS,
@@ -105,6 +117,8 @@ pub fn all() -> &'static [SiteDecl] {
             ordering: "Relaxed fetch_add/load: a monotone statistics counter read after \
                        the evaluation pool has joined (the join is the synchronization \
                        point), so no ordering stronger than Relaxed adds anything.",
+            rank: 41,
+            may_acquire: &[],
         },
         SiteDecl {
             label: FAULTS_KILLS,
@@ -115,6 +129,8 @@ pub fn all() -> &'static [SiteDecl] {
                        the check-then-increment is single-threaded in practice; the \
                        schedule-explorer grid asserts kill schedules stay byte-identical \
                        across adversarial interleavings.",
+            rank: 42,
+            may_acquire: &[],
         },
         SiteDecl {
             label: HISTORY_APPENDS,
@@ -123,6 +139,8 @@ pub fn all() -> &'static [SiteDecl] {
             ordering: "Relaxed fetch_add/load: a monotone diagnostics counter of appended \
                        records. Readers only consult it after joining the writer threads \
                        (the join is the synchronization point), so Relaxed suffices.",
+            rank: 46,
+            may_acquire: &[],
         },
         SiteDecl {
             label: HISTORY_SHARD,
@@ -133,6 +151,8 @@ pub fn all() -> &'static [SiteDecl] {
                        the cross-process advisory lock file and bumps the history.appends \
                        diagnostics counter (declared ranked above it); no other in-process \
                        primitive is acquired under it.",
+            rank: 45,
+            may_acquire: &[HISTORY_APPENDS],
         },
         SiteDecl {
             label: RM_EVENTS,
@@ -142,6 +162,8 @@ pub fn all() -> &'static [SiteDecl] {
                        events processed across an enclave drain. Enclaves drain one at a \
                        time on the driver thread and readers consult the total only after \
                        the drain returns, so atomicity alone is the whole contract.",
+            rank: 47,
+            may_acquire: &[],
         },
         SiteDecl {
             label: RM_SITE_TREE,
@@ -150,6 +172,8 @@ pub fn all() -> &'static [SiteDecl] {
             ordering: "Protects the GEOPM-style site aggregation tree while per-enclave \
                        metrics are folded up to the root. Leaf lock: nothing else is \
                        acquired while it is held.",
+            rank: 48,
+            may_acquire: &[],
         },
         SiteDecl {
             label: TRACE_RING,
@@ -157,6 +181,8 @@ pub fn all() -> &'static [SiteDecl] {
             owner: "pstack-trace",
             ordering: "Protects the bounded span ring and its drop counter. Leaf lock: \
                        nothing else is ever acquired while it is held.",
+            rank: 50,
+            may_acquire: &[],
         },
         SiteDecl {
             label: TRACE_SPAN_ID,
@@ -164,6 +190,8 @@ pub fn all() -> &'static [SiteDecl] {
             owner: "pstack-trace",
             ordering: "Relaxed fetch_add: span-id dispenser. Ids must be unique, not \
                        ordered; snapshot ordering is reconstructed from (start_ns, id).",
+            rank: 51,
+            may_acquire: &[],
         },
         SiteDecl {
             label: TRACE_TID,
@@ -171,6 +199,8 @@ pub fn all() -> &'static [SiteDecl] {
             owner: "pstack-trace",
             ordering: "Relaxed fetch_add: thread-id dispenser, same argument as the \
                        span-id site — uniqueness is the whole contract.",
+            rank: 52,
+            may_acquire: &[],
         },
     ]
 }
@@ -191,6 +221,42 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(labels, sorted, "site labels must be unique and in order");
+    }
+
+    /// Every `may_acquire` target is a declared site of strictly greater
+    /// rank. Ranks strictly increase along every edge, so the relation is
+    /// acyclic: an ABBA deadlock cannot be declared.
+    fn hierarchy_problems(sites: &[SiteDecl]) -> Vec<String> {
+        let mut out = Vec::new();
+        for s in sites {
+            for &target in s.may_acquire {
+                match sites.iter().find(|t| t.label == target) {
+                    None => out.push(format!("{} may acquire undeclared {target}", s.label)),
+                    Some(t) if t.rank <= s.rank => out.push(format!(
+                        "{} (rank {}) may acquire {target} (rank {})",
+                        s.label, s.rank, t.rank
+                    )),
+                    Some(_) => {}
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hierarchy_is_rank_consistent_and_acyclic() {
+        assert_eq!(hierarchy_problems(all()), Vec::<String>::new());
+        // An injected back edge closes a cycle and inverts a rank.
+        let mut cyclic = all().to_vec();
+        let ring = cyclic
+            .iter_mut()
+            .find(|s| s.label == TRACE_RING)
+            .expect("ring");
+        ring.may_acquire = &[POOL_SLOT];
+        assert_eq!(hierarchy_problems(&cyclic).len(), 1);
+        let mut dangling = all().to_vec();
+        dangling[0].may_acquire = &["nowhere.lock"];
+        assert!(hierarchy_problems(&dangling)[0].contains("undeclared"));
     }
 
     #[test]

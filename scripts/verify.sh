@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: format, build, test, lint, static analysis.
+# Full verification gate: format, build, test, clippy, and the gated artifacts.
 # Run from the repo root.
 #
 #   ./scripts/verify.sh                 # run every stage (the PR bar)
@@ -49,10 +49,9 @@ stage_perf() {
 }
 
 stage_conc() {
-    echo "== concurrency audit (schedule explorer + lock-order gate + PSA017/018) =="
+    echo "== concurrency audit (schedule explorer + lock-order gate) =="
     cargo test -q --test concurrency_audit
     cargo run -q --release -p pstack-bench --bin artifacts -- lockorder
-    cargo run -q --release -p pstack-analyze --bin pstack_lint
 }
 
 stage_history() {
@@ -112,12 +111,7 @@ stage_clippy() {
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
-stage_lint() {
-    echo "== pstack_lint =="
-    cargo run -q --release -p pstack-analyze --bin pstack_lint
-}
-
-ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench clippy lint)
+ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench clippy)
 
 list_stages() {
     for s in "${ALL_STAGES[@]}"; do
@@ -154,7 +148,6 @@ for s in "${stages[@]}"; do
         perfgate | perf-gate) stage_perfgate ;;
         perfbench) stage_perfbench ;;
         clippy) stage_clippy ;;
-        lint | pstack_lint) stage_lint ;;
         *)
             echo "verify: unknown stage '$s' (available: ${ALL_STAGES[*]})" >&2
             exit 2

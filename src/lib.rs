@@ -31,21 +31,17 @@
 //! | Hardware | [`hwmodel`] (`pstack-hwmodel`) |
 //! | Auto-tuning | [`autotune`] (`pstack-autotune`) |
 //! | End-to-end framework | [`core`] (`powerstack-core`) |
-//! | Diagnostics model | [`diag`] (`pstack-diag`) |
-//! | Static analysis / lint | [`analyze`] (`pstack-analyze`) |
 //! | Fault injection / chaos | [`faults`] (`pstack-faults`) |
 //! | Framework tracing / self-profiling | [`trace`] (`pstack-trace`) |
 //!
 //! See `DESIGN.md` for the substitution table (what each simulated substrate
 //! stands in for) and `EXPERIMENTS.md` for the paper-vs-measured record.
 
-#![cfg_attr(test, allow(clippy::disallowed_methods))]
+#![cfg_attr(test, allow(clippy::disallowed_methods, clippy::disallowed_types))]
 
 pub use powerstack_core as core;
-pub use pstack_analyze as analyze;
 pub use pstack_apps as apps;
 pub use pstack_autotune as autotune;
-pub use pstack_diag as diag;
 pub use pstack_faults as faults;
 pub use pstack_history as history;
 pub use pstack_hwmodel as hwmodel;

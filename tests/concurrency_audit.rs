@@ -14,7 +14,7 @@
 //! - **Clean lock-order graph.** No inversions, no cycles, no
 //!   held-across-wait or long-critical-section smells anywhere on the grid.
 //! - **Declared sites only.** Every site the graph observes is declared in
-//!   `pstack_sync::sites` (the registry PSA017 audits cannot drift from
+//!   `pstack_sync::sites` (the declared hierarchy cannot drift from
 //!   runtime reality).
 //! - **Ledgers balance under chaos.** Eval-cache misses equal evaluations,
 //!   the quarantine ledger replays identically, and the bounded trace ring
@@ -215,7 +215,7 @@ fn trace_ring_overflow_accounting_is_schedule_invariant() {
 #[test]
 fn observed_graph_edges_respect_the_declared_hierarchy() {
     // Run the richest driver (parallel + tracing) once under a compact
-    // grid, then hold every observed edge to the PSA017 hierarchy: an edge
+    // grid, then hold every observed edge to the declared hierarchy: an edge
     // outer → inner is only legal if rank(outer) < rank(inner).
     let grid = SeedGrid::compact(4, 8);
     let collector = Arc::new(TraceCollector::new());
@@ -229,11 +229,10 @@ fn observed_graph_edges_respect_the_declared_hierarchy() {
         serde_json::to_string(&report).expect("reports serialize")
     });
     assert_clean(&out, "hierarchy-audit");
-    let hierarchy = powerstack::analyze::FrameworkModel::shipped_lock_hierarchy();
     let rank = |site: &str| {
-        hierarchy
+        powerstack::sync::sites::all()
             .iter()
-            .find(|d| d.site == site)
+            .find(|d| d.label == site)
             .map(|d| d.rank)
             .unwrap_or_else(|| panic!("observed site {site} missing from hierarchy"))
     };

@@ -13,8 +13,8 @@
 //!   byte-identical on every arm — the store's answers do not depend on
 //!   the order concurrent appenders won the lock.
 //! - **Clean lock-order graph.** No inversions, cycles, or smells, and
-//!   every observed site is declared in `pstack_sync::sites` (PSA017's
-//!   registry cannot drift from runtime reality).
+//!   every observed site is declared in `pstack_sync::sites` (the
+//!   declared hierarchy cannot drift from runtime reality).
 
 // Integration tests are exempt from the workspace unwrap policy.
 #![allow(clippy::disallowed_methods)]
