@@ -18,7 +18,7 @@
 //! re-drive the search from it, and *replay* the WAL tail: each logged
 //! record answers the re-suggested configuration it belongs to without
 //! re-evaluating. Because every driver is deterministic given its seed, the
-//! resumed run reproduces the uninterrupted run's [`TuneReport`]
+//! resumed run reproduces the uninterrupted run's [`TuneReport`](crate::TuneReport)
 //! byte-for-byte — for any kill point and any worker count. A resumed
 //! session that diverges from its log (wrong config at an ordinal) is a
 //! typed [`TuneError::Checkpoint`], never a silently wrong report.

@@ -367,9 +367,9 @@ pub struct TuneReport {
     ///
     /// **Not serialized**: timing is a wall-clock measurement, so including
     /// it would break the byte-identical-replay contract (and the golden
-    /// artifacts' tolerance). Render it via
-    /// [`ProfileSummary::render`]/[`ProfileSummary::to_json`]; a
-    /// deserialized report carries an empty summary.
+    /// artifacts' tolerance). Render it via [`ProfileSummary::render`] or
+    /// serialize it on its own with `serde_json`; a deserialized report
+    /// carries an empty summary.
     pub profile: ProfileSummary,
 }
 
@@ -605,9 +605,10 @@ impl Tuner {
     ///
     /// Configurations the algorithm re-suggests are answered from the
     /// evaluation cache (a hit in [`TuneReport::cache`]) without consuming
-    /// budget, but after [`max_consecutive_duplicates`]
-    /// (`Self::max_consecutive_duplicates`) consecutive duplicates the run
-    /// ends early — the space is exhausted for this strategy. A
+    /// budget, but after
+    /// [`max_consecutive_duplicates`](Self::max_consecutive_duplicates)
+    /// consecutive duplicates the run ends early — the space is exhausted
+    /// for this strategy. A
     /// configuration whose objective is not finite is quarantined and
     /// logged in [`TuneReport::faults`], never recorded.
     ///

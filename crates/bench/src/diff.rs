@@ -48,15 +48,6 @@ impl fmt::Display for Tolerance {
     }
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match v {
-        Value::Int(i) => Some(*i as f64),
-        Value::UInt(u) => Some(*u as f64),
-        Value::Float(f) => Some(*f),
-        _ => None,
-    }
-}
-
 impl Tolerance {
     /// Check `fresh` against `committed`; `Err` carries the human-readable
     /// reason on violation.
@@ -101,7 +92,7 @@ impl Tolerance {
 }
 
 fn numeric_pair(committed: &Value, fresh: &Value) -> Result<(f64, f64), String> {
-    match (as_f64(committed), as_f64(fresh)) {
+    match (committed.as_f64(), fresh.as_f64()) {
         (Some(c), Some(f)) => Ok((c, f)),
         _ => Err(format!(
             "non-numeric values (committed: {}, fresh: {})",

@@ -2,7 +2,7 @@
 //!
 //! The `lockorder` artifact: drives all four tuning drivers (`run`,
 //! `run_parallel`, `run_resilient`, `run_parallel_resilient`) through the
-//! deterministic schedule explorer ([`pstack_sync::explore`]) on the
+//! deterministic schedule explorer ([`pstack_sync::explore()`]) on the
 //! standard 16-seed × {1, 2, 4, 8}-worker grid, and reports per driver:
 //!
 //! - whether every adversarial arm reproduced the unperturbed baseline
@@ -20,8 +20,8 @@ use pstack_autotune::{
     Config, Evaluation, ForestSearch, ParamSpace, RandomSearch, Robustness, Tuner,
 };
 use pstack_faults::{FaultPlan, FaultyEvaluator};
-use pstack_sync::{explore, sites, SeedGrid};
-use serde::{Deserialize, Serialize};
+use pstack_sync::{explore, sites, LockOrderGraph, SeedGrid};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt::Write as _;
 
 /// Evaluation budget per arm (small: the grid multiplies it by 64 × 4).
@@ -46,8 +46,9 @@ pub struct DriverAudit {
     pub acquisitions: u64,
     /// Whether the driver passed every check.
     pub clean: bool,
-    /// The merged lock-order graph, embedded verbatim.
-    pub graph: serde::Value,
+    /// The merged lock-order graph: per-site acquisition counts, edges,
+    /// inversions, smells, and whether it is acyclic.
+    pub graph: Value,
 }
 
 /// The full audit across every driver.
@@ -97,9 +98,44 @@ fn audit(name: &str, grid: &SeedGrid, mut run: impl FnMut(usize) -> String) -> D
         cycle: out.graph.cycle().map(|c| c.join(" -> ")),
         acquisitions: out.graph.acquisitions(),
         clean,
-        graph: serde_json::from_str(&out.graph.to_json())
-            .unwrap_or_else(|_| serde::Value::Str(out.graph.to_json())),
+        graph: graph_value(&out.graph),
     }
+}
+
+/// The lock-order graph as the artifact embeds it: per-site acquisition
+/// counts, `held -> acquired` edges with counts, inversion pairs, smells,
+/// and whether the edges are acyclic.
+fn graph_value(g: &LockOrderGraph) -> Value {
+    let text = |s: &str| Value::Str(s.to_string());
+    let nodes = g
+        .nodes
+        .iter()
+        .map(|(site, n)| (site.to_string(), n.to_value()));
+    let edges = g.edges.iter().map(|((held, acquired), n)| {
+        Value::Map(vec![
+            ("held".into(), text(held)),
+            ("acquired".into(), text(acquired)),
+            ("count".into(), n.to_value()),
+        ])
+    });
+    let inversions = g
+        .inversions
+        .iter()
+        .map(|i| Value::Seq(vec![text(i.a), text(i.b)]));
+    let smells = g.smells.iter().map(|s| {
+        Value::Map(vec![
+            ("kind".into(), text(s.kind.tag())),
+            ("site".into(), text(s.site)),
+            ("held".into(), s.held.to_value()),
+        ])
+    });
+    Value::Map(vec![
+        ("nodes".into(), Value::Map(nodes.collect())),
+        ("edges".into(), Value::Seq(edges.collect())),
+        ("inversions".into(), Value::Seq(inversions.collect())),
+        ("smells".into(), Value::Seq(smells.collect())),
+        ("acyclic".into(), Value::Bool(g.cycle().is_none())),
+    ])
 }
 
 /// The acceptance gate: every driver reproduced its baseline with an
@@ -225,6 +261,28 @@ pub fn render(r: &LockOrderReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pstack_sync::{Inversion, Smell, SmellKind};
+
+    #[test]
+    fn graph_value_renders_every_field_in_order() {
+        let mut g = LockOrderGraph::default();
+        g.nodes.insert("b.site", 1);
+        g.nodes.insert("a\"site", 2);
+        g.edges.insert(("a\"site", "b.site"), 1);
+        g.inversions.push(Inversion {
+            a: "a\"site",
+            b: "b.site",
+        });
+        g.smells.push(Smell {
+            kind: SmellKind::HeldAcrossWait,
+            site: "b.site",
+            held: vec!["a\"site"],
+        });
+        assert_eq!(
+            serde_json::to_string(&graph_value(&g)).expect("renders"),
+            r#"{"nodes":{"a\"site":2,"b.site":1},"edges":[{"held":"a\"site","acquired":"b.site","count":1}],"inversions":[["a\"site","b.site"]],"smells":[{"kind":"held-across-wait","site":"b.site","held":["a\"site"]}],"acyclic":true}"#
+        );
+    }
 
     #[test]
     fn compact_audit_is_clean_and_renders() {

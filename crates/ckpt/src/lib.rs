@@ -34,17 +34,6 @@ pub use wal::{
 use pstack_sync::{sites, Ordering, SyncAtomicUsize};
 use std::path::{Path, PathBuf};
 
-/// FNV-1a over a byte slice — the workspace's standard cheap checksum
-/// (same constants as `pstack_trace::hash64`, which hashes `&str`).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The canonical layout of a session directory: one WAL, one snapshot.
 #[derive(Debug, Clone)]
 pub struct SessionDir {
@@ -268,13 +257,5 @@ mod tests {
         let contents = read_wal(&path).expect("read");
         assert_eq!(contents.header, rec(8));
         assert_eq!(contents.records, vec![rec(100)]);
-    }
-
-    #[test]
-    fn fnv1a64_matches_known_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -21,7 +21,7 @@ use std::path::Path;
 use serde::{Serialize, Value};
 
 use crate::error::CkptError;
-use crate::fnv1a64;
+use pstack_trace::hash64;
 
 /// First 8 bytes of every snapshot file.
 pub const SNAP_MAGIC: [u8; 8] = *b"PSTKSNP\0";
@@ -39,7 +39,7 @@ pub fn write_snapshot<T: Serialize>(path: &Path, state: &T) -> Result<(), CkptEr
     out.extend_from_slice(&SNAP_MAGIC);
     out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
+    out.extend_from_slice(&hash64(bytes).to_le_bytes());
     out.extend_from_slice(bytes);
 
     let tmp = path.with_extension("snap.tmp");
@@ -105,7 +105,7 @@ pub fn read_snapshot(path: &Path) -> Result<Value, CkptError> {
         ));
     }
     let payload = &bytes[24..];
-    if fnv1a64(payload) != crc {
+    if hash64(payload) != crc {
         return Err(CkptError::corrupt(path, "payload checksum mismatch"));
     }
     let text = std::str::from_utf8(payload)

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::error::CkptError;
-use crate::fnv1a64;
+use pstack_trace::hash64;
 
 /// First 8 bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"PSTKWAL\0";
@@ -192,7 +192,7 @@ impl WalWriter {
         let bytes = json.as_bytes();
         let mut frame = Vec::with_capacity(FRAME_HEADER + bytes.len());
         frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(bytes).to_le_bytes());
+        frame.extend_from_slice(&hash64(bytes).to_le_bytes());
         frame.extend_from_slice(bytes);
         self.file
             .write_all(&frame)
@@ -307,7 +307,7 @@ fn decode_frame(bytes: &[u8], offset: usize) -> Result<(Value, usize), String> {
         ));
     }
     let payload = &bytes[start..start + len];
-    if fnv1a64(payload) != crc {
+    if hash64(payload) != crc {
         return Err("payload checksum mismatch".to_string());
     }
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;

@@ -23,16 +23,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a over bytes, for folding stream names into the hash state.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl FaultDice {
     /// Dice rooted at `seed`.
     pub fn new(seed: u64) -> Self {
@@ -50,7 +40,7 @@ impl FaultDice {
 
     /// Uniform value in `[0, 1)` for the decision `(stream, key, attempt)`.
     pub fn roll(&self, stream: &str, key: u64, attempt: u64) -> f64 {
-        let mut z = self.seed ^ fnv1a(stream.as_bytes());
+        let mut z = self.seed ^ pstack_trace::hash64(stream.as_bytes());
         z = splitmix64(z ^ key);
         z = splitmix64(z ^ attempt);
         // Top 53 bits → uniform double in [0, 1).

@@ -29,8 +29,8 @@
 //! lifted to the fleet.
 
 use crate::dice::FaultDice;
-use crate::supervise::{RecoveryEvent, RecoveryLog, SupervisorConfig};
-use pstack_ckpt::{fnv1a64, read_wal, write_snapshot, CkptError, SessionDir, WalWriter};
+use crate::supervise::{RecoveryLog, SupervisorConfig, Watchdog};
+use pstack_ckpt::{read_wal, write_snapshot, CkptError, SessionDir, WalWriter};
 use pstack_rm::scheduler::EmergencyResponse;
 use pstack_rm::EnclaveSet;
 use pstack_sim::{SimDuration, SimTime};
@@ -516,7 +516,7 @@ pub fn fleet_fingerprint(site: &mut EnclaveSet) -> u64 {
         }
         buf.push('\n');
     }
-    fnv1a64(buf.as_bytes())
+    pstack_trace::hash64(buf.as_bytes())
 }
 
 /// One write-ahead checkpoint of a supervised fleet drain: where the drain
@@ -710,12 +710,7 @@ impl FleetSupervisor {
         let horizon_us = horizon.as_micros();
         let boundary = |i: u64| SimTime::from_micros(horizon_us * i / slices as u64);
 
-        let mut recovery = RecoveryLog {
-            max_restarts: self.config.max_restarts,
-            ..RecoveryLog::default()
-        };
-        let mut last_death: Option<usize> = None;
-        let mut stalled = 0usize;
+        let mut watchdog = Watchdog::new(self.config);
 
         for incarnation in 0.. {
             let mut site = build();
@@ -760,27 +755,18 @@ impl FleetSupervisor {
                     // The process dies mid-slice: slices 0..i are durable,
                     // slice i is not. Progress = a later death point than
                     // any previous incarnation reached.
-                    let at_slice = i as usize;
-                    let made_progress = last_death.is_none_or(|prev| at_slice > prev);
-                    recovery.events.push(RecoveryEvent {
+                    watchdog.died(
                         incarnation,
-                        at_ordinal: at_slice,
-                        made_progress,
-                    });
-                    stalled = if made_progress { 0 } else { stalled + 1 };
-                    if stalled >= self.config.stall_limit {
-                        return Err(FleetSuperviseError::Stalled {
-                            stalled_restarts: stalled,
+                        i as usize,
+                        |stalled_restarts, at_slice| FleetSuperviseError::Stalled {
+                            stalled_restarts,
                             at_slice,
-                        });
-                    }
-                    last_death = Some(last_death.map_or(at_slice, |p| p.max(at_slice)));
-                    if recovery.events.len() > self.config.max_restarts {
-                        return Err(FleetSuperviseError::RestartBudgetExhausted {
-                            restarts: recovery.events.len() - 1,
-                            last_slice: at_slice,
-                        });
-                    }
+                        },
+                        |restarts, last_slice| FleetSuperviseError::RestartBudgetExhausted {
+                            restarts,
+                            last_slice,
+                        },
+                    )?;
                     died = true;
                     break;
                 }
@@ -799,7 +785,7 @@ impl FleetSupervisor {
             }
 
             let fingerprint = fleet_fingerprint(&mut site);
-            recovery.restarts = recovery.events.len();
+            let recovery = watchdog.finish();
             let m = site.site_metrics();
             let snap = Value::Map(vec![
                 ("fingerprint".into(), Value::UInt(fingerprint)),

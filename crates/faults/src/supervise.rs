@@ -140,6 +140,63 @@ impl std::fmt::Display for SuperviseError {
 
 impl std::error::Error for SuperviseError {}
 
+/// The restart-budget and stall bookkeeping both supervisors share. A
+/// "position" is how far the durable log reached when an incarnation
+/// died: an evaluation ordinal for a tuning session, a slice for a fleet.
+pub(crate) struct Watchdog {
+    config: SupervisorConfig,
+    recovery: RecoveryLog,
+    last_death: Option<usize>,
+    stalled: usize,
+}
+
+impl Watchdog {
+    pub(crate) fn new(config: SupervisorConfig) -> Self {
+        Watchdog {
+            config,
+            recovery: RecoveryLog {
+                max_restarts: config.max_restarts,
+                ..RecoveryLog::default()
+            },
+            last_death: None,
+            stalled: 0,
+        }
+    }
+
+    /// Record that `incarnation` died at position `at`. When the session
+    /// must not be restarted again, returns `stalled(consecutive
+    /// no-progress deaths, at)` or `exhausted(restarts spent, at)`.
+    pub(crate) fn died<E>(
+        &mut self,
+        incarnation: usize,
+        at: usize,
+        stalled: fn(usize, usize) -> E,
+        exhausted: fn(usize, usize) -> E,
+    ) -> Result<(), E> {
+        let made_progress = self.last_death.is_none_or(|prev| at > prev);
+        self.recovery.events.push(RecoveryEvent {
+            incarnation,
+            at_ordinal: at,
+            made_progress,
+        });
+        self.stalled = if made_progress { 0 } else { self.stalled + 1 };
+        if self.stalled >= self.config.stall_limit {
+            return Err(stalled(self.stalled, at));
+        }
+        self.last_death = Some(self.last_death.map_or(at, |p| p.max(at)));
+        if self.recovery.events.len() > self.config.max_restarts {
+            return Err(exhausted(self.recovery.events.len() - 1, at));
+        }
+        Ok(())
+    }
+
+    /// The recovery log of a session that finished.
+    pub(crate) fn finish(mut self) -> RecoveryLog {
+        self.recovery.restarts = self.recovery.events.len();
+        self.recovery
+    }
+}
+
 impl From<TuneError> for SuperviseError {
     fn from(e: TuneError) -> Self {
         SuperviseError::Tune(e)
@@ -233,40 +290,27 @@ impl SessionSupervisor {
         mut step: impl FnMut(&Tuner, bool) -> Result<TuneReport, TuneError>,
     ) -> Result<SupervisedReport, SuperviseError> {
         let kills = Arc::new(SyncAtomicUsize::new(sites::FAULTS_KILLS, 0));
-        let mut recovery = RecoveryLog {
-            max_restarts: self.config.max_restarts,
-            ..RecoveryLog::default()
-        };
-        let mut last_death: Option<usize> = None;
-        let mut stalled = 0usize;
+        let mut watchdog = Watchdog::new(self.config);
         for incarnation in 0.. {
             let armed = self.arm(tuner, incarnation, &kills);
             match step(&armed, incarnation == 0) {
                 Ok(report) => {
-                    recovery.restarts = recovery.events.len();
+                    let recovery = watchdog.finish();
                     return Ok(SupervisedReport { report, recovery });
                 }
                 Err(TuneError::Interrupted { at_ordinal }) => {
-                    let made_progress = last_death.is_none_or(|prev| at_ordinal > prev);
-                    recovery.events.push(RecoveryEvent {
+                    watchdog.died(
                         incarnation,
                         at_ordinal,
-                        made_progress,
-                    });
-                    stalled = if made_progress { 0 } else { stalled + 1 };
-                    if stalled >= self.config.stall_limit {
-                        return Err(SuperviseError::Stalled {
-                            stalled_restarts: stalled,
+                        |stalled_restarts, at_ordinal| SuperviseError::Stalled {
+                            stalled_restarts,
                             at_ordinal,
-                        });
-                    }
-                    last_death = Some(last_death.map_or(at_ordinal, |p| p.max(at_ordinal)));
-                    if recovery.events.len() > self.config.max_restarts {
-                        return Err(SuperviseError::RestartBudgetExhausted {
-                            restarts: recovery.events.len() - 1,
-                            last_ordinal: at_ordinal,
-                        });
-                    }
+                        },
+                        |restarts, last_ordinal| SuperviseError::RestartBudgetExhausted {
+                            restarts,
+                            last_ordinal,
+                        },
+                    )?;
                 }
                 Err(e) => return Err(SuperviseError::Tune(e)),
             }
@@ -390,6 +434,35 @@ mod tests {
         match err {
             SuperviseError::RestartBudgetExhausted { restarts, .. } => assert_eq!(restarts, 3),
             other => panic!("expected budget exhaustion, got {other}"),
+        }
+    }
+
+    #[test]
+    fn restarts_that_never_resume_stall() {
+        // Every incarnation starts over instead of resuming, and every one
+        // is killed at its first record: the WAL never grows past ordinal
+        // 0, so the watchdog must give up after `stall_limit` no-progress
+        // deaths rather than spend the whole restart budget.
+        let scratch = ScratchDir::new("supervise-stall");
+        let mut plan = FaultPlan::process_kill_only();
+        plan.process.kill_prob = 1.0;
+        plan.process.max_kills = 10;
+        let sup = SessionSupervisor::new(plan, 5).stall_limit(3);
+        let tuner = Tuner::new(space())
+            .max_evals(10)
+            .seed(3)
+            .checkpoint(scratch.path());
+        let err = sup
+            .drive(&tuner, |t, _first| {
+                t.run(&mut RandomSearch::new(), objective)
+            })
+            .unwrap_err();
+        match err {
+            SuperviseError::Stalled {
+                stalled_restarts,
+                at_ordinal,
+            } => assert_eq!((stalled_restarts, at_ordinal), (3, 0)),
+            other => panic!("expected a stall, got {other}"),
         }
     }
 

@@ -11,7 +11,7 @@
 //! so the print is invariant under reordering while still distinguishing
 //! any real shape change (renamed knob, added value, new constraint).
 
-use pstack_ckpt::fnv1a64;
+use pstack_trace::hash64;
 use serde::{Deserialize, Serialize};
 
 /// On-disk format version stamped into every store's `meta.json` and
@@ -66,7 +66,7 @@ impl SpaceShape {
             canon.push_str(c);
             canon.push(';');
         }
-        format!("{:016x}", fnv1a64(canon.as_bytes()))
+        format!("{:016x}", hash64(canon.as_bytes()))
     }
 }
 
@@ -97,7 +97,7 @@ pub fn config_fingerprint(cfg: &[usize]) -> String {
     for &i in cfg {
         bytes.extend_from_slice(&(i as u64).to_le_bytes());
     }
-    format!("{:016x}", fnv1a64(&bytes))
+    format!("{:016x}", hash64(&bytes))
 }
 
 /// What a history record is filed under: which space, which application,
@@ -140,7 +140,7 @@ impl HistoryKey {
     /// routing).
     pub fn shard(&self, shard_count: usize) -> usize {
         assert!(shard_count > 0, "shard count must be positive");
-        (fnv1a64(self.canonical().as_bytes()) % shard_count as u64) as usize
+        (hash64(self.canonical().as_bytes()) % shard_count as u64) as usize
     }
 }
 

@@ -23,7 +23,7 @@
 //! 2. `shard-NN.lock` — a cross-process advisory lock file taken with
 //!    `O_CREAT|O_EXCL` while the in-process mutex is held, so sessions in
 //!    *different* processes also serialize per shard. Stale locks (crashed
-//!    writers) are broken after [`STALE_LOCK`].
+//!    writers) are broken after `STALE_LOCK` (30 s).
 
 use std::collections::HashMap;
 use std::fs::{self, OpenOptions};

@@ -1,6 +1,6 @@
 //! Batched structure-of-arrays (SoA) node stepping — the evaluation fast path.
 //!
-//! [`Node::step`] is exact but pays, per package and per tick, for work the
+//! [`Node::step`](crate::Node::step) is exact but pays, per package and per tick, for work the
 //! tuning loop never reads: performance-counter updates, `Vec` allocation in
 //! core splitting, repeated roofline and CMOS model evaluations over the same
 //! `(mix, P-state, cores)` operating point, and a fresh `exp()` per thermal
@@ -14,7 +14,8 @@
 //! The batch path is an optimization of the scalar path, not an approximation:
 //! for the nominal-knob configuration the driver uses (top requested P-state,
 //! top uncore, full duty cycle, [`VariationFactors::NOMINAL`]), every value it
-//! produces is **bit-identical** to [`Node::step`] / [`Node::work_rate`]. The
+//! produces is **bit-identical** to [`Node::step`](crate::Node::step) /
+//! [`Node::work_rate`](crate::Node::work_rate). The
 //! only transformations applied are bit-transparent:
 //!
 //! - **Memoized coefficients.** `speed`, `core_dynamic_w` and `dram_w` depend

@@ -170,10 +170,10 @@ impl Ord for HeapEntry {
 
 /// Time-ordered event heap with a monotone processing cursor.
 ///
-/// Unlike `pstack_sim::EventQueue`, pushing an event at a past timestamp is
-/// allowed (a job may be submitted with a retroactive arrival time); it
-/// simply fires at the next [`EventHeap::pop_due`]. The *cursor* — the
-/// largest fire time processed so far — never moves backwards.
+/// The workspace's one discrete-event queue. Pushing an event at a past
+/// timestamp is allowed (a job may be submitted with a retroactive arrival
+/// time); it simply fires at the next [`EventHeap::pop_due`]. The *cursor* —
+/// the largest fire time processed so far — never moves backwards.
 #[derive(Debug, Clone, Default)]
 pub struct EventHeap {
     entries: BinaryHeap<HeapEntry>,

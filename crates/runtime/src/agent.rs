@@ -193,7 +193,7 @@ impl<'a> ArbitratedNodes<'a> {
 ///
 /// `Send` is a supertrait: agents ride inside running jobs, and fleet-scale
 /// drains partition enclaves (with their running jobs) across worker
-/// threads ([`EnclaveSet::run_until_drained_parallel`] in `pstack-rm`).
+/// threads (`EnclaveSet::run_until_drained_parallel` in `pstack-rm`).
 pub trait RuntimeAgent: Send {
     /// Runtime name for traces and reports.
     fn name(&self) -> &str;

@@ -8,9 +8,9 @@
 //! section held past the long-hold threshold).
 //!
 //! [`snapshot`] produces an owned, deterministic [`LockOrderGraph`] (all
-//! maps are `BTreeMap`s, so rendering order never depends on interleaving);
-//! [`LockOrderGraph::to_json`] carries its own minimal JSON writer because
-//! this crate sits below the vendored `serde` stand-ins.
+//! maps are `BTreeMap`s, so rendering order never depends on interleaving).
+//! Its fields are public; callers that export it (the `lockorder` artifact)
+//! render it themselves, so this crate stays free of dependencies.
 //!
 //! [`Condvar`]: std::sync::Condvar
 
@@ -38,7 +38,8 @@ pub enum SmellKind {
 }
 
 impl SmellKind {
-    fn tag(self) -> &'static str {
+    /// The kebab-case name the exported graph uses for this kind.
+    pub fn tag(self) -> &'static str {
         match self {
             SmellKind::HeldAcrossWait => "held-across-wait",
             SmellKind::LongCriticalSection => "long-critical-section",
@@ -220,72 +221,6 @@ impl LockOrderGraph {
     pub fn acquisitions(&self) -> u64 {
         self.nodes.values().sum()
     }
-
-    /// Render the graph as deterministic JSON (own writer: this crate sits
-    /// below the vendored serde stand-ins).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"nodes\": {");
-        for (i, (site, n)) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    {}: {n}", json_str(site)));
-        }
-        out.push_str("\n  },\n  \"edges\": [");
-        for (i, ((a, b), n)) in self.edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"held\": {}, \"acquired\": {}, \"count\": {n}}}",
-                json_str(a),
-                json_str(b)
-            ));
-        }
-        out.push_str("\n  ],\n  \"inversions\": [");
-        for (i, inv) in self.inversions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    [{}, {}]", json_str(inv.a), json_str(inv.b)));
-        }
-        out.push_str("\n  ],\n  \"smells\": [");
-        for (i, s) in self.smells.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let held: Vec<String> = s.held.iter().map(|h| json_str(h)).collect();
-            out.push_str(&format!(
-                "\n    {{\"kind\": {}, \"site\": {}, \"held\": [{}]}}",
-                json_str(s.kind.tag()),
-                json_str(s.site),
-                held.join(", ")
-            ));
-        }
-        let acyclic = self.cycle().is_none();
-        out.push_str(&format!("\n  ],\n  \"acyclic\": {acyclic}\n}}\n"));
-        out
-    }
-}
-
-/// Minimal JSON string escaping (site labels are ASCII identifiers, but be
-/// correct anyway).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -337,20 +272,5 @@ mod tests {
         assert!(g.cycle().is_some());
         reset();
         assert_eq!(snapshot(), LockOrderGraph::default());
-    }
-
-    #[test]
-    fn json_is_deterministic_and_escaped() {
-        let _g = crate::chaos::arm(0);
-        reset();
-        record_acquisition("a.site", &[]);
-        record_acquisition("b.site", &["a.site"]);
-        let g = snapshot();
-        let j = g.to_json();
-        assert_eq!(j, g.to_json());
-        assert!(j.contains("\"a.site\": 1"));
-        assert!(j.contains("\"acyclic\": true"));
-        assert_eq!(json_str("a\"b"), "\"a\\\"b\"");
-        reset();
     }
 }

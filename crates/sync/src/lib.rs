@@ -26,7 +26,7 @@
 //!   smells, and injects deterministic seeded yields/backoff so different
 //!   seeds exercise genuinely different thread interleavings. Disarmed
 //!   (the default), the overhead is one relaxed atomic load per operation.
-//! - [`explore`]: the deterministic schedule explorer — re-run a driver
+//! - [`explore`](mod@explore): the deterministic schedule explorer — re-run a driver
 //!   across a seeded grid of adversarial yield schedules × worker counts,
 //!   assert every arm reproduces the baseline artifact byte-for-byte, and
 //!   export the observed lock-order graph (the `results/lockorder.json`

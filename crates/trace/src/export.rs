@@ -11,8 +11,8 @@
 //!   fields ride along in `args`, so this format round-trips losslessly too.
 
 use crate::collector::Trace;
-use crate::json::{parse, Json};
 use crate::span::{AttrValue, Event, Span};
+use serde::Value;
 use std::fmt::Write as _;
 
 /// JSONL header version; bumped on breaking format changes.
@@ -80,16 +80,24 @@ fn render_span(trace: &Trace, span: &Span, depth: usize, out: &mut String) {
 
 // --------------------------------------------------------------- jsonl ----
 
-fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Json {
-    Json::Obj(
+fn parse(text: &str) -> Result<Value, String> {
+    serde_json::from_str(text).map_err(|e| e.to_string())
+}
+
+fn render(value: &Value) -> String {
+    serde_json::to_string(value).expect("a JSON value tree always renders")
+}
+
+fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Value {
+    Value::Map(
         attrs
             .iter()
             .map(|(k, v)| {
                 let value = match v {
-                    AttrValue::Bool(b) => Json::Bool(*b),
-                    AttrValue::Int(i) => Json::Int(*i),
-                    AttrValue::Float(f) => Json::Float(*f),
-                    AttrValue::Str(s) => Json::Str(s.clone()),
+                    AttrValue::Bool(b) => Value::Bool(*b),
+                    AttrValue::Int(i) => Value::Int(*i),
+                    AttrValue::Float(f) => Value::Float(*f),
+                    AttrValue::Str(s) => Value::Str(s.clone()),
                 };
                 (k.clone(), value)
             })
@@ -97,20 +105,24 @@ fn attrs_to_json(attrs: &[(String, AttrValue)]) -> Json {
     )
 }
 
-fn attrs_from_json(value: &Json) -> Result<Vec<(String, AttrValue)>, String> {
-    let Json::Obj(members) = value else {
-        return Err("attrs must be an object".to_string());
+fn attrs_from_json(value: Option<&Value>) -> Result<Vec<(String, AttrValue)>, String> {
+    let members = match value {
+        None => return Ok(Vec::new()),
+        Some(Value::Map(members)) => members,
+        Some(_) => return Err("attrs must be an object".to_string()),
     };
     members
         .iter()
         .map(|(k, v)| {
             let attr = match v {
-                Json::Bool(b) => AttrValue::Bool(*b),
-                Json::Int(i) => AttrValue::Int(*i),
-                Json::Float(f) => AttrValue::Float(*f),
-                Json::Str(s) => AttrValue::Str(s.clone()),
+                Value::Bool(b) => AttrValue::Bool(*b),
+                Value::Int(i) => AttrValue::Int(*i),
+                // Integers beyond i64 were never written as Int attributes.
+                Value::UInt(u) => AttrValue::Float(*u as f64),
+                Value::Float(f) => AttrValue::Float(*f),
+                Value::Str(s) => AttrValue::Str(s.clone()),
                 // Non-finite floats were written as null.
-                Json::Null => AttrValue::Float(f64::NAN),
+                Value::Null => AttrValue::Float(f64::NAN),
                 other => return Err(format!("attr {k:?} has non-scalar value {other:?}")),
             };
             Ok((k.clone(), attr))
@@ -118,91 +130,98 @@ fn attrs_from_json(value: &Json) -> Result<Vec<(String, AttrValue)>, String> {
         .collect()
 }
 
-fn span_to_json(span: &Span) -> Json {
-    let events = Json::Arr(
-        span.events
+fn events_to_json(events: &[Event]) -> Value {
+    Value::Seq(
+        events
             .iter()
             .map(|e| {
-                Json::Obj(vec![
-                    ("name".into(), Json::Str(e.name.clone())),
+                Value::Map(vec![
+                    ("name".into(), Value::Str(e.name.clone())),
                     ("at_ns".into(), json_u64(e.at_ns)),
                     ("attrs".into(), attrs_to_json(&e.attrs)),
                 ])
             })
             .collect(),
-    );
-    Json::Obj(vec![
+    )
+}
+
+fn events_from_json(value: Option<&Value>) -> Result<Vec<Event>, String> {
+    value
+        .and_then(Value::as_array)
+        .map_or(&[][..], Vec::as_slice)
+        .iter()
+        .map(|e| {
+            Ok(Event {
+                name: field_str(e, "name", "event missing name")?,
+                at_ns: field_u64(e, "at_ns")?,
+                attrs: attrs_from_json(e.get("attrs"))?,
+            })
+        })
+        .collect()
+}
+
+fn span_to_json(span: &Span) -> Value {
+    Value::Map(vec![
         ("id".into(), json_u64(span.id)),
-        ("parent".into(), span.parent.map_or(Json::Null, json_u64)),
-        ("name".into(), Json::Str(span.name.clone())),
+        ("parent".into(), span.parent.map_or(Value::Null, json_u64)),
+        ("name".into(), Value::Str(span.name.clone())),
         ("tid".into(), json_u64(span.tid)),
         ("start_ns".into(), json_u64(span.start_ns)),
         ("dur_ns".into(), json_u64(span.dur_ns)),
         ("wall_start_us".into(), json_u64(span.wall_start_us)),
         ("attrs".into(), attrs_to_json(&span.attrs)),
-        ("events".into(), events),
+        ("events".into(), events_to_json(&span.events)),
     ])
 }
 
-fn json_u64(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+fn json_u64(v: u64) -> Value {
+    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
+fn field_u64(obj: &Value, key: &str) -> Result<u64, String> {
     obj.get(key)
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or invalid field {key:?}"))
 }
 
-fn span_from_json(obj: &Json) -> Result<Span, String> {
-    let events = obj
-        .get("events")
-        .and_then(Json::as_arr)
-        .unwrap_or(&[])
-        .iter()
-        .map(|e| {
-            Ok(Event {
-                name: e
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("event missing name")?
-                    .to_string(),
-                at_ns: field_u64(e, "at_ns")?,
-                attrs: attrs_from_json(e.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-            })
-        })
-        .collect::<Result<Vec<Event>, String>>()?;
+fn field_str(obj: &Value, key: &str, missing: &str) -> Result<String, String> {
+    obj.get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| missing.to_string())
+}
+
+fn parent_from_json(value: Option<&Value>, invalid: &str) -> Result<Option<u64>, String> {
+    match value {
+        None | Some(Value::Null) => Ok(None),
+        Some(v) => v.as_u64().map(Some).ok_or_else(|| invalid.to_string()),
+    }
+}
+
+fn span_from_json(obj: &Value) -> Result<Span, String> {
     Ok(Span {
         id: field_u64(obj, "id")?,
-        parent: match obj.get("parent") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(v.as_u64().ok_or("invalid parent id")?),
-        },
-        name: obj
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("span missing name")?
-            .to_string(),
+        parent: parent_from_json(obj.get("parent"), "invalid parent id")?,
+        name: field_str(obj, "name", "span missing name")?,
         tid: field_u64(obj, "tid")?,
         start_ns: field_u64(obj, "start_ns")?,
         dur_ns: field_u64(obj, "dur_ns")?,
         wall_start_us: field_u64(obj, "wall_start_us")?,
-        attrs: attrs_from_json(obj.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-        events,
+        attrs: attrs_from_json(obj.get("attrs"))?,
+        events: events_from_json(obj.get("events"))?,
     })
 }
 
 /// Serialize a trace as JSON Lines: a header object, then one span per line.
 pub fn to_jsonl(trace: &Trace) -> String {
-    let mut out = Json::Obj(vec![
-        ("pstack_trace".into(), Json::Int(JSONL_VERSION)),
+    let mut out = render(&Value::Map(vec![
+        ("pstack_trace".into(), Value::Int(JSONL_VERSION)),
         ("dropped".into(), json_u64(trace.dropped)),
         ("spans".into(), json_u64(trace.len() as u64)),
-    ])
-    .to_string();
+    ]));
     out.push('\n');
     for span in &trace.spans {
-        out.push_str(&span_to_json(span).to_string());
+        out.push_str(&render(&span_to_json(span)));
         out.push('\n');
     }
     out
@@ -214,7 +233,7 @@ pub fn from_jsonl(text: &str) -> Result<Trace, String> {
     let header = parse(lines.next().ok_or("empty trace file")?)?;
     let version = header
         .get("pstack_trace")
-        .and_then(Json::as_i64)
+        .and_then(Value::as_i64)
         .ok_or("not a pstack trace (missing header)")?;
     if version != JSONL_VERSION {
         return Err(format!("unsupported trace version {version}"));
@@ -235,64 +254,49 @@ pub fn from_jsonl(text: &str) -> Result<Trace, String> {
 /// the exact span fields ride along in each event's `args` so
 /// [`from_chrome`] reconstructs the trace losslessly.
 pub fn to_chrome(trace: &Trace) -> String {
-    let events: Vec<Json> = trace
+    let events: Vec<Value> = trace
         .spans
         .iter()
         .map(|span| {
             let mut args = vec![
-                ("span_id".to_string(), json_u64(span.id)),
+                ("span_id".into(), json_u64(span.id)),
                 (
-                    "span_parent".to_string(),
-                    span.parent.map_or(Json::Null, json_u64),
+                    "span_parent".into(),
+                    span.parent.map_or(Value::Null, json_u64),
                 ),
-                ("start_ns".to_string(), json_u64(span.start_ns)),
-                ("dur_ns".to_string(), json_u64(span.dur_ns)),
-                ("wall_start_us".to_string(), json_u64(span.wall_start_us)),
-                ("attrs".to_string(), attrs_to_json(&span.attrs)),
+                ("start_ns".into(), json_u64(span.start_ns)),
+                ("dur_ns".into(), json_u64(span.dur_ns)),
+                ("wall_start_us".into(), json_u64(span.wall_start_us)),
+                ("attrs".into(), attrs_to_json(&span.attrs)),
             ];
             if !span.events.is_empty() {
-                args.push((
-                    "events".to_string(),
-                    Json::Arr(
-                        span.events
-                            .iter()
-                            .map(|e| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::Str(e.name.clone())),
-                                    ("at_ns".into(), json_u64(e.at_ns)),
-                                    ("attrs".into(), attrs_to_json(&e.attrs)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
+                args.push(("events".into(), events_to_json(&span.events)));
             }
-            Json::Obj(vec![
-                ("name".into(), Json::Str(span.name.clone())),
-                ("cat".into(), Json::Str("pstack".into())),
-                ("ph".into(), Json::Str("X".into())),
+            Value::Map(vec![
+                ("name".into(), Value::Str(span.name.clone())),
+                ("cat".into(), Value::Str("pstack".into())),
+                ("ph".into(), Value::Str("X".into())),
                 // Viewer timestamps are µs floats; the exact ns values are
                 // in args.
-                ("ts".into(), Json::Float(span.start_ns as f64 / 1e3)),
-                ("dur".into(), Json::Float(span.dur_ns as f64 / 1e3)),
-                ("pid".into(), Json::Int(1)),
+                ("ts".into(), Value::Float(span.start_ns as f64 / 1e3)),
+                ("dur".into(), Value::Float(span.dur_ns as f64 / 1e3)),
+                ("pid".into(), Value::Int(1)),
                 ("tid".into(), json_u64(span.tid)),
-                ("args".into(), Json::Obj(args)),
+                ("args".into(), Value::Map(args)),
             ])
         })
         .collect();
-    Json::Obj(vec![
-        ("traceEvents".into(), Json::Arr(events)),
-        ("displayTimeUnit".into(), Json::Str("ms".into())),
+    render(&Value::Map(vec![
+        ("traceEvents".into(), Value::Seq(events)),
+        ("displayTimeUnit".into(), Value::Str("ms".into())),
         (
             "otherData".into(),
-            Json::Obj(vec![
-                ("producer".into(), Json::Str("pstack-trace".into())),
+            Value::Map(vec![
+                ("producer".into(), Value::Str("pstack-trace".into())),
                 ("dropped".into(), json_u64(trace.dropped)),
             ]),
         ),
-    ])
-    .to_string()
+    ]))
 }
 
 /// Parse a Chrome `trace_event` file produced by [`to_chrome`] (complete
@@ -301,53 +305,29 @@ pub fn from_chrome(text: &str) -> Result<Trace, String> {
     let doc = parse(text)?;
     let events = doc
         .get("traceEvents")
-        .and_then(Json::as_arr)
+        .and_then(Value::as_array)
         .ok_or("missing traceEvents array")?;
     let dropped = doc
         .get("otherData")
         .and_then(|o| o.get("dropped"))
-        .and_then(Json::as_u64)
+        .and_then(Value::as_u64)
         .unwrap_or(0);
     let mut spans = Vec::new();
     for event in events {
-        if event.get("ph").and_then(Json::as_str) != Some("X") {
+        if event.get("ph").and_then(Value::as_str) != Some("X") {
             continue;
         }
         let args = event.get("args").ok_or("X event missing args")?;
-        let span_events = args
-            .get("events")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|e| {
-                Ok(Event {
-                    name: e
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("event missing name")?
-                        .to_string(),
-                    at_ns: field_u64(e, "at_ns")?,
-                    attrs: attrs_from_json(e.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-                })
-            })
-            .collect::<Result<Vec<Event>, String>>()?;
         spans.push(Span {
             id: field_u64(args, "span_id")?,
-            parent: match args.get("span_parent") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("invalid span_parent")?),
-            },
-            name: event
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("event missing name")?
-                .to_string(),
+            parent: parent_from_json(args.get("span_parent"), "invalid span_parent")?,
+            name: field_str(event, "name", "event missing name")?,
             tid: field_u64(event, "tid")?,
             start_ns: field_u64(args, "start_ns")?,
             dur_ns: field_u64(args, "dur_ns")?,
             wall_start_us: field_u64(args, "wall_start_us")?,
-            attrs: attrs_from_json(args.get("attrs").unwrap_or(&Json::Obj(Vec::new())))?,
-            events: span_events,
+            attrs: attrs_from_json(args.get("attrs"))?,
+            events: events_from_json(args.get("events"))?,
         });
     }
     spans.sort_by_key(|s| (s.start_ns, s.id));
@@ -412,16 +392,16 @@ mod tests {
         let doc = parse(&text).expect("valid JSON");
         let events = doc
             .get("traceEvents")
-            .and_then(Json::as_arr)
+            .and_then(Value::as_array)
             .expect("traceEvents");
         assert_eq!(events.len(), 2);
         for event in events {
-            assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
-            assert_eq!(event.get("cat").and_then(Json::as_str), Some("pstack"));
-            assert!(event.get("ts").and_then(Json::as_f64).is_some());
-            assert!(event.get("dur").and_then(Json::as_f64).is_some());
-            assert!(event.get("pid").and_then(Json::as_i64).is_some());
-            assert!(event.get("tid").and_then(Json::as_i64).is_some());
+            assert_eq!(event.get("ph").and_then(Value::as_str), Some("X"));
+            assert_eq!(event.get("cat").and_then(Value::as_str), Some("pstack"));
+            assert!(event.get("ts").and_then(Value::as_f64).is_some());
+            assert!(event.get("dur").and_then(Value::as_f64).is_some());
+            assert!(event.get("pid").and_then(Value::as_i64).is_some());
+            assert!(event.get("tid").and_then(Value::as_i64).is_some());
         }
     }
 

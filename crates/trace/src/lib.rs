@@ -21,9 +21,10 @@
 //!   `TuneReport` by `pstack-autotune`;
 //! - the `pstack_trace` binary — render, summarize, and diff trace files.
 //!
-//! Zero dependencies (not even the vendored stand-ins): every crate in the
-//! workspace can depend on it without cycles, and the exporters carry their
-//! own minimal JSON codec ([`json`]).
+//! It depends only on `pstack-sync` and the vendored `serde`/`serde_json`,
+//! none of which depend back on the stack, so every crate in the workspace
+//! can depend on it without cycles. The exporters and [`ProfileSummary`]
+//! read and write JSON through the workspace's one codec, `serde_json`.
 //!
 //! # Example
 //!
@@ -48,7 +49,6 @@
 
 pub mod collector;
 pub mod export;
-pub mod json;
 pub mod profile;
 pub mod span;
 

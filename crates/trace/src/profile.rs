@@ -14,14 +14,14 @@
 //! replay byte-identically) and rendered separately.
 
 use crate::collector::Trace;
-use crate::json::{parse, Json};
 use crate::span::AttrValue;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Aggregate timing of one named stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageStats {
     /// Samples recorded.
     pub count: usize,
@@ -55,7 +55,7 @@ impl StageStats {
 }
 
 /// Where one run spent its time, plus cache/retry attribution.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfileSummary {
     /// Wall-clock duration of the whole run, seconds.
     pub wall_s: f64,
@@ -95,82 +95,6 @@ impl ProfileSummary {
             );
         }
         out
-    }
-
-    /// Serialize as one JSON object (the crate's own codec).
-    pub fn to_json(&self) -> String {
-        let stages = Json::Obj(
-            self.stages
-                .iter()
-                .map(|(name, s)| {
-                    (
-                        name.clone(),
-                        Json::Obj(vec![
-                            ("count".into(), Json::Int(s.count as i64)),
-                            ("total_s".into(), Json::Float(s.total_s)),
-                            ("mean_s".into(), Json::Float(s.mean_s)),
-                            ("p95_s".into(), Json::Float(s.p95_s)),
-                            ("max_s".into(), Json::Float(s.max_s)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Json::Obj(vec![
-            ("wall_s".into(), Json::Float(self.wall_s)),
-            ("stages".into(), stages),
-            ("cache_hits".into(), Json::Int(self.cache_hits as i64)),
-            ("cache_misses".into(), Json::Int(self.cache_misses as i64)),
-            ("retries".into(), Json::Int(self.retries as i64)),
-        ])
-        .to_string()
-    }
-
-    /// Parse a summary produced by [`to_json`](Self::to_json).
-    pub fn from_json(text: &str) -> Result<ProfileSummary, String> {
-        let doc = parse(text)?;
-        let field = |key: &str| -> Result<f64, String> {
-            doc.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let count = |key: &str| -> Result<usize, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let mut stages = BTreeMap::new();
-        if let Some(Json::Obj(members)) = doc.get("stages") {
-            for (name, s) in members {
-                let get = |key: &str| -> Result<f64, String> {
-                    s.get(key)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("stage {name:?} missing {key:?}"))
-                };
-                stages.insert(
-                    name.clone(),
-                    StageStats {
-                        count: s
-                            .get("count")
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("stage {name:?} missing count"))?
-                            as usize,
-                        total_s: get("total_s")?,
-                        mean_s: get("mean_s")?,
-                        p95_s: get("p95_s")?,
-                        max_s: get("max_s")?,
-                    },
-                );
-            }
-        }
-        Ok(ProfileSummary {
-            wall_s: field("wall_s")?,
-            stages,
-            cache_hits: count("cache_hits")?,
-            cache_misses: count("cache_misses")?,
-            retries: count("retries")?,
-        })
     }
 
     /// Compute a summary from an exported trace: stages are span names,
@@ -381,7 +305,8 @@ mod tests {
         b.cache_hits(1);
         b.cache_misses(2);
         let p = b.finish();
-        let back = ProfileSummary::from_json(&p.to_json()).expect("parses");
+        let text = serde_json::to_string(&p).expect("serializes");
+        let back: ProfileSummary = serde_json::from_str(&text).expect("parses");
         assert_eq!(back, p);
     }
 

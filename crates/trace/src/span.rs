@@ -130,8 +130,9 @@ impl Span {
     }
 }
 
-/// FNV-1a hash of a byte string: the stable, dependency-free hash used for
-/// config fingerprints in trace attributes (rendered as 16 hex digits).
+/// FNV-1a hash of a byte string: the workspace's one stable, cheap hash.
+/// It fingerprints configurations in trace attributes (rendered as 16 hex
+/// digits), checksums WAL frames and snapshots, and keys the history store.
 pub fn hash64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -158,7 +159,10 @@ mod tests {
 
     #[test]
     fn hash64_is_stable_and_discriminating() {
+        // Standard FNV-1a test vectors.
         assert_eq!(hash64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash64(b"foobar"), 0x8594_4171_f739_67e8);
         assert_eq!(hash64(b"abc"), hash64(b"abc"));
         assert_ne!(hash64(b"abc"), hash64(b"abd"));
     }

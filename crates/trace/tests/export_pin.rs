@@ -116,5 +116,5 @@ fn profile_bytes_are_pinned() {
         cache_misses: 3,
         retries: 1,
     };
-    assert_eq!(profile.to_json(), PROFILE);
+    assert_eq!(serde_json::to_string(&profile).expect("renders"), PROFILE);
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification gate: format, build, test, clippy, and the gated artifacts.
+# Full verification gate: format, build, test, docs, clippy, and the gated artifacts.
 # Run from the repo root.
 #
 #   ./scripts/verify.sh                 # run every stage (the PR bar)
@@ -106,12 +106,18 @@ stage_perfbench() {
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 }
 
+stage_doc() {
+    echo "== cargo doc (broken or private intra-doc links fail) =="
+    RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+        cargo doc --workspace --no-deps
+}
+
 stage_clippy() {
     echo "== cargo clippy -- -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
-ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench clippy)
+ALL_STAGES=(fmt build test chaos resume golden perf conc history fleet chaosfleet perfgate perfbench doc clippy)
 
 list_stages() {
     for s in "${ALL_STAGES[@]}"; do
@@ -147,6 +153,7 @@ for s in "${stages[@]}"; do
         chaosfleet | chaos-fleet) stage_chaosfleet ;;
         perfgate | perf-gate) stage_perfgate ;;
         perfbench) stage_perfbench ;;
+        doc) stage_doc ;;
         clippy) stage_clippy ;;
         *)
             echo "verify: unknown stage '$s' (available: ${ALL_STAGES[*]})" >&2

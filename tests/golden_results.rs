@@ -22,6 +22,7 @@
 use powerstack::core::experiments::{
     emergency, faults, fig1, fig2, fig3, fig4, fig5, fig6, resume, thermal, uc1, uc6, uc7,
 };
+use serde::Value;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -31,203 +32,8 @@ const REL_TOL: f64 = 0.02;
 /// Absolute floor so values near zero don't demand impossible precision.
 const ABS_TOL: f64 = 1e-9;
 
-// ---------------------------------------------------------------------------
-// A minimal JSON representation + parser. The vendored `serde_json` shim has
-// no public `Value` type, so the tolerance-aware comparison parses the two
-// serialized documents itself. Only the subset our artifacts emit is
-// supported: objects, arrays, strings, numbers, booleans and null.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> u8 {
-        self.skip_ws();
-        assert!(self.pos < self.bytes.len(), "unexpected end of JSON");
-        self.bytes[self.pos]
-    }
-
-    fn eat(&mut self, b: u8) {
-        let got = self.peek();
-        assert_eq!(
-            got as char, b as char,
-            "JSON parse error at byte {}",
-            self.pos
-        );
-        self.pos += 1;
-    }
-
-    fn value(&mut self) -> Json {
-        match self.peek() {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Json::Str(self.string()),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Json {
-        self.skip_ws();
-        assert!(
-            self.bytes[self.pos..].starts_with(word.as_bytes()),
-            "bad literal at {}",
-            self.pos
-        );
-        self.pos += word.len();
-        v
-    }
-
-    fn object(&mut self) -> Json {
-        self.eat(b'{');
-        let mut entries = Vec::new();
-        if self.peek() == b'}' {
-            self.pos += 1;
-            return Json::Obj(entries);
-        }
-        loop {
-            let key = self.string();
-            self.eat(b':');
-            entries.push((key, self.value()));
-            match self.peek() {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Json::Obj(entries);
-                }
-                c => panic!(
-                    "expected ',' or '}}' at byte {}, got {:?}",
-                    self.pos, c as char
-                ),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Json {
-        self.eat(b'[');
-        let mut items = Vec::new();
-        if self.peek() == b']' {
-            self.pos += 1;
-            return Json::Arr(items);
-        }
-        loop {
-            items.push(self.value());
-            match self.peek() {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Json::Arr(items);
-                }
-                c => panic!(
-                    "expected ',' or ']' at byte {}, got {:?}",
-                    self.pos, c as char
-                ),
-            }
-        }
-    }
-
-    fn string(&mut self) -> String {
-        self.eat(b'"');
-        let mut out = String::new();
-        loop {
-            assert!(self.pos < self.bytes.len(), "unterminated string");
-            match self.bytes[self.pos] {
-                b'"' => {
-                    self.pos += 1;
-                    return out;
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.bytes[self.pos];
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4]).unwrap();
-                            self.pos += 4;
-                            let code = u32::from_str_radix(hex, 16).unwrap();
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => panic!("unsupported escape \\{}", other as char),
-                    }
-                }
-                b => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let start = self.pos;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    self.pos += len;
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Json {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Json::Num(
-            text.parse()
-                .unwrap_or_else(|_| panic!("bad number {text:?}")),
-        )
-    }
-}
-
-fn parse(s: &str) -> Json {
-    let mut p = Parser::new(s);
-    let v = p.value();
-    p.skip_ws();
-    assert_eq!(p.pos, p.bytes.len(), "trailing bytes after JSON document");
-    v
+fn parse(s: &str) -> Value {
+    serde_json::from_str(s).expect("artifacts and goldens are valid JSON")
 }
 
 // ---------------------------------------------------------------------------
@@ -244,14 +50,9 @@ fn numbers_close(a: f64, b: f64) -> bool {
 
 /// Collect every mismatch between `got` and `want` into `diffs`, tracking the
 /// JSON path so failures point at the exact drifted leaf.
-fn diff(path: &str, got: &Json, want: &Json, diffs: &mut Vec<String>) {
+fn diff(path: &str, got: &Value, want: &Value, diffs: &mut Vec<String>) {
     match (got, want) {
-        (Json::Num(a), Json::Num(b)) => {
-            if !numbers_close(*a, *b) {
-                let _ = writeln!(diffs_entry(diffs), "{path}: {a} vs golden {b}");
-            }
-        }
-        (Json::Obj(a), Json::Obj(b)) => {
+        (Value::Map(a), Value::Map(b)) => {
             for (key, wv) in b {
                 match a.iter().find(|(k, _)| k == key) {
                     Some((_, gv)) => diff(&format!("{path}.{key}"), gv, wv, diffs),
@@ -266,7 +67,7 @@ fn diff(path: &str, got: &Json, want: &Json, diffs: &mut Vec<String>) {
                 }
             }
         }
-        (Json::Arr(a), Json::Arr(b)) => {
+        (Value::Seq(a), Value::Seq(b)) => {
             if a.len() != b.len() {
                 diffs.push(format!("{path}: length {} vs golden {}", a.len(), b.len()));
             }
@@ -274,8 +75,16 @@ fn diff(path: &str, got: &Json, want: &Json, diffs: &mut Vec<String>) {
                 diff(&format!("{path}[{i}]"), gv, wv, diffs);
             }
         }
-        (g, w) if g == w => {}
-        (g, w) => diffs.push(format!("{path}: {g:?} vs golden {w:?}")),
+        // Integers and floats compare as numbers: `1` and `1.0` are equal.
+        (g, w) => match (g.as_f64(), w.as_f64()) {
+            (Some(a), Some(b)) => {
+                if !numbers_close(a, b) {
+                    let _ = writeln!(diffs_entry(diffs), "{path}: {a} vs golden {b}");
+                }
+            }
+            _ if g == w => {}
+            _ => diffs.push(format!("{path}: {g:?} vs golden {w:?}")),
+        },
     }
 }
 

@@ -11,14 +11,15 @@
 //!    counts, cache hits/misses, retries) must not depend on how many
 //!    workers evaluated the batches; only wall times may differ.
 //! 3. **Exporter round-trips.** The Chrome artifact a bench bin writes via
-//!    `pstack_bench::traced` must parse back losslessly, and the JSONL
-//!    format must round-trip the same trace.
+//!    `pstack_bench::traced` must parse back losslessly, the JSONL format
+//!    must round-trip the same trace, and every committed
+//!    `results/trace_*.json` must parse and re-render to the same bytes.
 
 #![allow(clippy::disallowed_methods)]
 
 use powerstack::autotune::{EvalError, ForestSearch, RandomSearch, Robustness, TuneReport, Tuner};
 use powerstack::prelude::{Param, ParamSpace};
-use powerstack::trace::{from_chrome, from_jsonl, to_chrome, to_jsonl, TraceCollector};
+use powerstack::trace::{from_any, from_chrome, from_jsonl, to_chrome, to_jsonl, TraceCollector};
 use std::collections::HashMap;
 
 fn space() -> ParamSpace {
@@ -217,4 +218,31 @@ fn bench_traced_artifact_is_a_valid_chrome_trace() {
     assert!(trace.by_name("eval").next().is_some());
     std::env::remove_var("POWERSTACK_RESULTS_DIR");
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn committed_trace_artifacts_rerender_byte_identically() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("trace_") && name.ends_with(".json")) {
+            continue;
+        }
+        let raw = std::fs::read_to_string(&path).unwrap();
+        let trace = from_any(&raw).unwrap_or_else(|e| panic!("{name} must parse: {e}"));
+        assert!(!trace.is_empty(), "{name} holds spans");
+        assert_eq!(
+            to_chrome(&trace),
+            raw,
+            "{name} must re-render byte-identically"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked > 0,
+        "no committed trace artifacts under {}",
+        dir.display()
+    );
 }
